@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -50,42 +51,96 @@ func FuzzReadContainer(f *testing.F) {
 	})
 }
 
-// FuzzReassembler feeds arbitrary slice payloads through ParsePacket,
-// SliceMBs and Reassembler.Add — the exact path an eavesdropper's
-// garbled ciphertext takes. Damaged payloads must come back as errors,
-// never as panics or out-of-range writes.
+// refAdd is the reassembler's original algorithm, kept as the
+// reference FuzzReassembler compares Add against: ParsePacket and
+// SliceMBs over the payload, then one copy per chunk.
+func refAdd(frames map[int]*EncodedFrame, total int, payload []byte) error {
+	p, err := ParsePacket(payload)
+	if err != nil {
+		return err
+	}
+	mbStart, chunks, err := SliceMBs(payload)
+	if err != nil {
+		return err
+	}
+	if mbStart < 0 || len(chunks) > total || mbStart > total-len(chunks) {
+		return fmt.Errorf("codec: slice range [%d,%d) exceeds %d macroblocks", mbStart, mbStart+len(chunks), total)
+	}
+	f := frames[p.FrameNumber]
+	if f == nil {
+		f = &EncodedFrame{Number: p.FrameNumber, Type: p.Type, MBData: make([][]byte, total)}
+		frames[p.FrameNumber] = f
+	}
+	for i, c := range chunks {
+		f.MBData[mbStart+i] = append([]byte(nil), c...)
+	}
+	return nil
+}
+
+// sameFrames reports the first difference between two reassembled frame
+// maps: frame headers, chunk bytes, and which chunks are nil.
+func sameFrames(got, want map[int]*EncodedFrame) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d frames, want %d", len(got), len(want))
+	}
+	for n, w := range want {
+		g := got[n]
+		if g == nil {
+			return fmt.Errorf("frame %d missing", n)
+		}
+		if g.Number != w.Number || g.Type != w.Type || len(g.MBData) != len(w.MBData) {
+			return fmt.Errorf("frame %d header (%d, %v, %d), want (%d, %v, %d)", n, g.Number, g.Type, len(g.MBData), w.Number, w.Type, len(w.MBData))
+		}
+		for j := range w.MBData {
+			if (g.MBData[j] == nil) != (w.MBData[j] == nil) || !bytes.Equal(g.MBData[j], w.MBData[j]) {
+				return fmt.Errorf("frame %d chunk %d = %x (nil %v), want %x (nil %v)", n, j, g.MBData[j], g.MBData[j] == nil, w.MBData[j], w.MBData[j] == nil)
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzReassembler is differential: two arbitrary slice payloads — the
+// path an eavesdropper's garbled ciphertext takes — go through
+// Reassembler.Add and through refAdd in turn. Add must give the same
+// error (or none) for each payload and leave the same frames, with the
+// same nil and non-nil chunks. Damaged payloads must come back as
+// errors, never as panics or out-of-range writes.
 func FuzzReassembler(f *testing.F) {
 	cfg := fuzzConfig()
-	pkts, err := Packetize(fuzzFrame(cfg, 3, IFrame), 256)
+	ef := fuzzFrame(cfg, 3, IFrame)
+	ef.MBData[1] = nil // an empty chunk: lost on the wire, nil after reassembly
+	pkts, err := Packetize(ef, 64)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, p := range pkts {
-		f.Add(p.Payload)
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}
+	for i, p := range pkts {
+		next := pkts[(i+1)%len(pkts)].Payload
+		f.Add(p.Payload, next)
 		if len(p.Payload) > 3 {
-			f.Add(p.Payload[:len(p.Payload)-3]) // truncated slice
+			f.Add(next, p.Payload[:len(p.Payload)-3]) // truncated slice
 		}
 	}
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // huge varint
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := ParsePacket(data); err != nil {
-			return
-		}
+	f.Add(huge, pkts[0].Payload)
+	other := AppendSlice(nil, fuzzFrame(cfg, 4, PFrame), 1, 2)
+	f.Add(other, pkts[0].Payload) // two frames
+	f.Fuzz(func(t *testing.T, a, b []byte) {
 		r, err := NewReassembler(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Add(data); err != nil {
-			return
-		}
-		// An accepted slice must have landed inside the frame grid.
 		total := cfg.MBCols() * cfg.MBRows()
-		mbStart, chunks, err := SliceMBs(data)
-		if err != nil {
-			t.Fatalf("Add accepted a payload SliceMBs rejects: %v", err)
-		}
-		if mbStart < 0 || mbStart+len(chunks) > total {
-			t.Fatalf("accepted slice range [%d,%d) outside %d macroblocks", mbStart, mbStart+len(chunks), total)
+		ref := map[int]*EncodedFrame{}
+		for _, payload := range [][]byte{a, b} {
+			err := r.Add(payload)
+			want := refAdd(ref, total, payload)
+			if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+				t.Fatalf("Add(%x) = %v, reference %v", payload, err, want)
+			}
+			if err := sameFrames(r.frames, ref); err != nil {
+				t.Fatalf("after Add(%x): %v", payload, err)
+			}
 		}
 	})
 }

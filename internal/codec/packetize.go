@@ -160,36 +160,96 @@ func NewReassembler(cfg Config) (*Reassembler, error) {
 
 // Add incorporates one received slice payload. Damaged payloads are
 // reported but otherwise ignored (the affected macroblocks stay lost).
+//
+// Add copies the payload exactly once. It first walks and validates
+// every chunk in place, so a damaged payload leaves the frame
+// untouched; then it copies the chunk section into one buffer and points
+// the frame's MBData entries into it. Each entry's capacity equals its
+// length, so appending to one chunk can never overwrite the next, and a
+// zero-length chunk stays nil (the decoder's "lost" marker). The caller
+// may reuse payload as soon as Add returns.
 func (r *Reassembler) Add(payload []byte) error {
-	p, err := ParsePacket(payload)
-	if err != nil {
-		return err
+	// Header: frame number, frame type, first macroblock, chunk count.
+	rest := payload
+	next := func() (uint64, bool) {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return 0, false
+		}
+		rest = rest[n:]
+		return v, true
 	}
-	mbStart, chunks, err := SliceMBs(payload)
-	if err != nil {
-		return err
+	fn, ok0 := next()
+	ft, ok1 := next()
+	if !ok0 || !ok1 {
+		return fmt.Errorf("codec: bad varint in slice header")
 	}
+	if ft > uint64(BFrame) {
+		return fmt.Errorf("codec: bad frame type %d", ft)
+	}
+	ms, ok2 := next()
+	mc, ok3 := next()
+	if !ok2 || !ok3 {
+		return fmt.Errorf("codec: bad varint in slice header")
+	}
+	if ms > 1<<20 {
+		return fmt.Errorf("codec: implausible slice start %d", ms)
+	}
+	if mc > 1<<20 {
+		return fmt.Errorf("codec: implausible slice size %d", mc)
+	}
+	section := rest
+	for i := uint64(0); i < mc; i++ {
+		l, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return fmt.Errorf("codec: bad varint in slice")
+		}
+		rest = rest[n:]
+		if uint64(len(rest)) < l {
+			return fmt.Errorf("codec: slice truncated")
+		}
+		rest = rest[l:]
+	}
+	section = section[:len(section)-len(rest)]
+	mbStart, count := int(ms), int(mc)
 	total := r.cfg.MBCols() * r.cfg.MBRows()
-	if mbStart < 0 || len(chunks) > total || mbStart > total-len(chunks) {
-		return fmt.Errorf("codec: slice range [%d,%d) exceeds %d macroblocks", mbStart, mbStart+len(chunks), total)
+	if count > total || mbStart > total-count {
+		return fmt.Errorf("codec: slice range [%d,%d) exceeds %d macroblocks", mbStart, mbStart+count, total)
 	}
-	f := r.frames[p.FrameNumber]
+	f := r.frames[int(fn)]
 	if f == nil {
-		f = &EncodedFrame{Number: p.FrameNumber, Type: p.Type, MBData: make([][]byte, total)}
-		r.frames[p.FrameNumber] = f
+		f = &EncodedFrame{Number: int(fn), Type: FrameType(ft), MBData: make([][]byte, total)}
+		r.frames[int(fn)] = f
 	}
-	for i, c := range chunks {
-		// The range check above already constrains mbStart+len(chunks)
-		// against total, but total and len(f.MBData) are only equal
-		// while every frame of the session was built by this
-		// reassembler; re-checking against the destination itself keeps
-		// the write in bounds under any future refactor (and makes the
-		// bounds proof local, which the netbound gate verifies).
-		j := mbStart + i
+	buf := make([]byte, len(section))
+	copy(buf, section)
+	// The walk above validated these bytes and cut the section to end
+	// exactly after the last chunk, so walking the copy to its end visits
+	// each chunk once. The guards are repeated on the copy to keep every
+	// bounds proof local (the netbound gate verifies them).
+	rest = buf
+	for j := mbStart; len(rest) > 0; j++ {
+		l, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return fmt.Errorf("codec: bad varint in slice")
+		}
+		rest = rest[n:]
+		if uint64(len(rest)) < l {
+			return fmt.Errorf("codec: slice truncated")
+		}
+		// The range check above already constrains the chunks against
+		// total, but total and len(f.MBData) are only equal while every
+		// frame of the session was built by this reassembler;
+		// re-checking against the destination itself keeps the write in
+		// bounds under any future refactor.
 		if j >= len(f.MBData) {
 			return fmt.Errorf("codec: slice chunk %d lands outside %d macroblocks", j, len(f.MBData))
 		}
-		f.MBData[j] = append([]byte(nil), c...)
+		f.MBData[j] = nil
+		if l > 0 {
+			f.MBData[j] = rest[:l:l]
+		}
+		rest = rest[l:]
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -274,3 +275,57 @@ var errEOFc = errC("EOF")
 type errC string
 
 func (e errC) Error() string { return string(e) }
+
+// TestReassemblerCopiesOnce checks what Add keeps of a payload: the
+// frames survive the caller overwriting its payload buffer, every
+// chunk's capacity equals its length (appending to one chunk cannot
+// overwrite the next), and empty chunks stay nil.
+func TestReassemblerCopiesOnce(t *testing.T) {
+	_, encoded, cfg := encodeOne(t, video.MotionMedium)
+	ef := encoded[0]
+	ef.MBData[2] = nil
+	re, _ := NewReassembler(cfg)
+	pkts, _ := Packetize(ef, testMTU)
+	for _, p := range pkts {
+		if err := re.Add(p.Payload); err != nil {
+			t.Fatal(err)
+		}
+		for i := range p.Payload {
+			p.Payload[i] = 0xFF
+		}
+	}
+	got := re.Frame(ef.Number)
+	for j, want := range ef.MBData {
+		c := got.MBData[j]
+		if !bytes.Equal(c, want) || (c == nil) != (len(want) == 0) {
+			t.Fatalf("chunk %d = %x, want %x", j, c, want)
+		}
+		if cap(c) != len(c) {
+			t.Fatalf("chunk %d has cap %d, len %d", j, cap(c), len(c))
+		}
+	}
+	_ = append(got.MBData[0], 0xEE)
+	if !bytes.Equal(got.MBData[1], ef.MBData[1]) {
+		t.Fatal("appending to chunk 0 overwrote chunk 1")
+	}
+}
+
+// TestReassemblerAddAllocs pins Add into an existing frame at one
+// allocation: the single copy of the packet's chunk section.
+func TestReassemblerAddAllocs(t *testing.T) {
+	_, encoded, cfg := encodeOne(t, video.MotionMedium)
+	re, _ := NewReassembler(cfg)
+	pkts, _ := Packetize(encoded[0], testMTU)
+	payload := pkts[len(pkts)/2].Payload
+	if err := re.Add(payload); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := re.Add(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Add allocates %.1f times per packet, want at most 1", allocs)
+	}
+}

@@ -39,7 +39,7 @@ func TestChaosMultiSessionResumeStorm(t *testing.T) {
 	n := uint64(len(segs))
 	var totalBytes int
 	for _, seg := range segs {
-		totalBytes += segmentHeaderSize + len(seg.payload)
+		totalBytes += segmentHeaderSize + len(seg.payload())
 	}
 	proxy, err := netem.NewFlakyProxy(hs.Listener.Addr().String(), nil, nil)
 	if err != nil {

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -250,13 +251,14 @@ func shardIndex(ssrc uint32, n int) int {
 // readLoop is one worker of the bounded reader pool: it drains datagrams
 // from the shared socket into a persistent buffer and runs the packet
 // path inline. Reassembler.Add copies what it keeps and decrypt works in
-// place, so the buffer is reusable as soon as handle returns — the
-// receive path allocates only when a session retains frame data.
+// place, so the buffer is reusable as soon as handle returns. The sender
+// address travels as a netip.AddrPort value, so the receive path
+// allocates only the one copy Add makes of each packet it keeps.
 func (s *IngestServer) readLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, 65536)
 	for {
-		n, from, err := s.conn.ReadFromUDP(buf)
+		n, from, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -264,7 +266,7 @@ func (s *IngestServer) readLoop() {
 	}
 }
 
-func (s *IngestServer) handle(data []byte, from *net.UDPAddr) {
+func (s *IngestServer) handle(data []byte, from netip.AddrPort) {
 	if ssrc, ok := parseFIN(data); ok {
 		s.finish(ssrc, false)
 		return
@@ -284,7 +286,7 @@ func (s *IngestServer) handle(data []byte, from *net.UDPAddr) {
 		mIngestRejected.Inc()
 		ledger.Emit(ledger.EventReject, "ingest", uint64(pkt.SSRC), 0, "session cap")
 		if s.rejects.Allow() {
-			s.conn.WriteToUDP(marshalReject(s.cfg.RetryAfter), from) //nolint:errcheck // best effort, like the medium
+			s.conn.WriteToUDPAddrPort(marshalReject(s.cfg.RetryAfter), from) //nolint:errcheck // best effort, like the medium
 		}
 		return
 	}

@@ -48,7 +48,7 @@ func sendSeg(t *testing.T, conn net.Conn, buf []byte, ssrc uint32, seg wireSegme
 		Sequence:    uint16(seg.seq),
 		Timestamp:   uint32(seg.seq),
 		SSRC:        ssrc,
-		Payload:     seg.payload,
+		Payload:     seg.payload(),
 	}
 	if _, err := conn.Write(p.MarshalInto(buf)); err != nil {
 		t.Fatal(err)

@@ -72,8 +72,17 @@ func WriteSegment(w io.Writer, seq uint64, encrypted bool, payload []byte) error
 	return err
 }
 
-// ReadSegment parses one framed segment.
+// ReadSegment parses one framed segment into a freshly allocated
+// payload.
 func ReadSegment(r io.Reader) (seq uint64, encrypted bool, payload []byte, err error) {
+	return readSegmentInto(r, nil)
+}
+
+// readSegmentInto parses one framed segment into buf, growing it when
+// the segment does not fit. The payload is a prefix of the (possibly
+// regrown) buffer, so a caller that passes each payload back as the next
+// buf reads a whole request body with one buffer.
+func readSegmentInto(r io.Reader, buf []byte) (seq uint64, encrypted bool, payload []byte, err error) {
 	var hdr [segmentHeaderSize]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, false, nil, err
@@ -84,7 +93,14 @@ func ReadSegment(r io.Reader) (seq uint64, encrypted bool, payload []byte, err e
 	if n > 1<<24 {
 		return 0, false, nil, fmt.Errorf("transport: implausible segment of %d bytes", n)
 	}
-	payload = make([]byte, n)
+	if buf == nil || uint64(cap(buf)) < uint64(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:cap(buf)]
+	if uint64(len(buf)) < uint64(n) {
+		return 0, false, nil, fmt.Errorf("transport: segment buffer of %d bytes for %d", len(buf), n)
+	}
+	payload = buf[:n]
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, false, nil, err
 	}
@@ -223,8 +239,11 @@ func (s *HTTPUploadServer) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 	br := bufio.NewReader(req.Body)
 	count := 0
+	// One buffer serves the whole body: decrypt works in place and
+	// Reassembler.Add copies what it keeps.
+	var buf []byte
 	for {
-		seq, encrypted, payload, err := ReadSegment(br) //lint:allow lockheld writerMu exists to serialize whole POST bodies per session; a slow body only stalls that session's own concurrent retries, never another tenant
+		seq, encrypted, payload, err := readSegmentInto(br, buf) //lint:allow lockheld writerMu exists to serialize whole POST bodies per session; a slow body only stalls that session's own concurrent retries, never another tenant
 		if err == io.EOF {
 			break
 		}
@@ -235,6 +254,7 @@ func (s *HTTPUploadServer) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		buf = payload
 		if s.Tap != nil {
 			tapCopy := append([]byte(nil), payload...)
 			s.Tap(seq, encrypted, tapCopy)

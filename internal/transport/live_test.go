@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -195,6 +196,38 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	if seq != 77 || !enc || string(payload) != "hello" {
 		t.Fatalf("round trip got (%d, %v, %q)", seq, enc, payload)
+	}
+}
+
+// TestReadSegmentIntoReusesBuffer reads segments through one buffer the
+// way ServeHTTP does: a long segment after a short one (the buffer
+// grows) and a short one after a long one (it is reused) both come back
+// intact, and an empty segment between them is read as empty.
+func TestReadSegmentIntoReusesBuffer(t *testing.T) {
+	long := bytes.Repeat([]byte{0xAB}, 3000)
+	sent := [][]byte{[]byte("short"), long, []byte("tiny"), {}, long[:1200]}
+	var wire syncBuffer
+	for i, p := range sent {
+		if err := WriteSegment(&wire, uint64(i), i%2 == 0, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf []byte
+	for i, want := range sent {
+		seq, enc, payload, err := readSegmentInto(&wire, buf)
+		if err != nil {
+			t.Fatalf("segment %d: %v", i, err)
+		}
+		if seq != uint64(i) || enc != (i%2 == 0) || !bytes.Equal(payload, want) {
+			t.Fatalf("segment %d = (%d, %v, %d bytes), want (%d, %v, %d bytes)", i, seq, enc, len(payload), i, i%2 == 0, len(want))
+		}
+		if i == 2 && &payload[0] != &buf[0] {
+			t.Fatal("a short segment after a long one did not reuse the buffer")
+		}
+		buf = payload
+	}
+	if _, _, _, err := readSegmentInto(&wire, buf); err == nil {
+		t.Fatal("read past the last segment succeeded")
 	}
 }
 

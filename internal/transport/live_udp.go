@@ -361,7 +361,9 @@ func (r *LiveReceiver) loop() {
 		if dropper != nil && dropper.DropSeq(seq64) {
 			continue
 		}
-		payload := append([]byte(nil), pkt.Payload...)
+		// Decrypt works in the read buffer and Add copies what it keeps,
+		// so the buffer is reusable for the next datagram.
+		payload := pkt.Payload
 		r.mu.Lock()
 		r.nackFrom = from
 		if r.window.Mark(seq64) {

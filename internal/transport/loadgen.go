@@ -236,7 +236,7 @@ func runLoadClient(addr string, segs []wireSegment, mtu int, cfg LoadgenConfig, 
 			Sequence:    uint16(seg.seq),
 			Timestamp:   uint32(seg.seq),
 			SSRC:        ssrc,
-			Payload:     seg.payload,
+			Payload:     seg.payload(),
 		}
 		_, werr := conn.Write(p.MarshalInto(buf))
 		if werr == nil {

@@ -34,11 +34,17 @@ type ResumeReport struct {
 type wireSegment struct {
 	seq       uint64
 	encrypted bool
-	payload   []byte
+	wire      []byte // segment header followed by the payload
 }
 
+// payload returns the segment's (possibly encrypted) slice payload.
+func (seg wireSegment) payload() []byte { return seg.wire[segmentHeaderSize:] }
+
 // buildSegments packetizes and encrypts the whole session starting at
-// the given base sequence.
+// the given base sequence. Each packet is marshaled behind
+// segmentHeaderSize bytes of headroom; the segment header is written
+// there and the payload is encrypted in place, so a segment is one
+// contiguous slice that crosses the transport in a single write.
 func buildSegments(s Session, base uint64) ([]wireSegment, error) {
 	cipher, err := vcrypt.NewCipher(s.Policy.Alg, s.Key)
 	if err != nil {
@@ -52,29 +58,30 @@ func buildSegments(s Session, base uint64) ([]wireSegment, error) {
 	var wps []codec.WirePacket
 	seq := base
 	for _, ef := range s.Encoded {
-		wps, err = codec.PacketizeInto(ef, s.MTU, 0, nil, wps[:0])
+		wps, err = codec.PacketizeInto(ef, s.MTU, segmentHeaderSize, nil, wps[:0])
 		if err != nil {
 			return nil, err
 		}
 		for i := range wps {
 			pkt := &wps[i]
-			// The pool-less zero-copy path hands each payload its own
-			// buffer (same bytes as Packetize), so the segment owns it
-			// outright and encrypts in place; Retain makes the transfer
-			// of ownership to the segment store explicit.
-			payload := pkt.Payload
-			//lint:retain(segment store keeps every payload alive across resumed attempts)
-			pkt.Retain()
+			// The pool-less zero-copy path hands each packet its own
+			// buffer, so the segment owns it outright; Retain makes the
+			// transfer of ownership to the segment store explicit.
+			n := len(pkt.Payload)
 			encrypted := selector.ShouldEncrypt(pkt.IsIFrame())
+			wire := pkt.Wire(n)
+			//lint:retain(segment store keeps every segment alive across resumed attempts)
+			pkt.Retain()
+			putSegmentHeader(wire, seq, encrypted, n)
 			if encrypted {
-				cipher.EncryptPacket(seq, payload[:s.Policy.EncryptSpan(len(payload))])
-				if span := s.Policy.EncryptSpan(len(payload)); span < len(payload) {
+				cipher.EncryptPacket(seq, wire[segmentHeaderSize:][:s.Policy.EncryptSpan(n)])
+				if span := s.Policy.EncryptSpan(n); span < n {
 					ledger.Emit(ledger.EventHeaderOnly, "segments", seq, uint64(span), "")
 				}
 			} else {
-				ledger.Emit(ledger.EventPlainPacket, "segments", seq, uint64(len(payload)), "")
+				ledger.Emit(ledger.EventPlainPacket, "segments", seq, uint64(n), "")
 			}
-			out = append(out, wireSegment{seq: seq, encrypted: encrypted, payload: payload})
+			out = append(out, wireSegment{seq: seq, encrypted: encrypted, wire: wire})
 			seq++
 		}
 	}
@@ -120,14 +127,14 @@ func postSegments(client *http.Client, url, sid string, segs []wireSegment, rest
 		defer close(done)
 		for _, seg := range segs {
 			if pacer != nil {
-				pacer.Wait(segmentHeaderSize + len(seg.payload))
+				pacer.Wait(len(seg.wire))
 			}
-			if werr := WriteSegment(pw, seg.seq, seg.encrypted, seg.payload); werr != nil {
+			if _, werr := pw.Write(seg.wire); werr != nil {
 				pw.CloseWithError(werr) //lint:allow bitioerr pipe CloseWithError is documented to always return nil
 				return
 			}
 			sent++
-			sentBytes += segmentHeaderSize + len(seg.payload)
+			sentBytes += len(seg.wire)
 			if seg.encrypted {
 				sentEnc++
 			}
@@ -180,11 +187,13 @@ func nextEpoch(used uint64) uint64 {
 // consecutive failures back off exponentially (capped, jittered,
 // deterministic under rp.Seed), and every retry first asks the server
 // for its highest contiguous sequence and resumes there instead of
-// re-sending acknowledged segments. When the retry budget or the
-// transfer deadline is exhausted, the degrader (when non-nil) makes the
-// remaining work cheaper — first by downgrading the encryption policy,
-// then by re-encoding the clip at reduced quality and restarting under a
-// fresh sequence epoch — rather than failing the transfer.
+// re-sending acknowledged segments; a retry whose query fails sends
+// nothing and counts as one more failed attempt. When the retry budget
+// or the transfer deadline is exhausted, the degrader (when non-nil)
+// makes the remaining work cheaper — first by downgrading the
+// encryption policy, then by re-encoding the clip at reduced quality and
+// restarting under a fresh sequence epoch — rather than failing the
+// transfer.
 func ResumableHTTPUpload(s Session, url string, pacer *netem.Pacer, rp RetryPolicy, deg Degrader) (ResumeReport, error) {
 	var rep ResumeReport
 	rp = rp.withDefaults()
@@ -211,52 +220,62 @@ func ResumableHTTPUpload(s Session, url string, pacer *netem.Pacer, rp RetryPoli
 		lastErr    error
 	)
 	for {
+		// A failed resume query means the link is still dark. A POST now
+		// would stream segments into a connection that is going down:
+		// they would count as sent and, on a real link, cost radio
+		// energy. Skip it, count a failed attempt and back off.
+		var qerr error
 		if rep.Attempts > 0 {
-			if got, qerr := queryNextSeq(client, url, s.SessionID, rp.AttemptTimeout); qerr == nil {
+			var got uint64
+			if got, qerr = queryNextSeq(client, url, s.SessionID, rp.AttemptTimeout); qerr == nil {
 				serverNext = got
 			}
 		}
-		restartHdr := ""
-		idx := 0
-		if serverNext < base {
-			// The server has not seen this epoch yet: announce it.
-			restartHdr = strconv.FormatUint(base, 10)
-		} else {
-			idx = len(segs)
-			if off := serverNext - base; off < uint64(len(segs)) {
-				idx = int(off)
-			}
-		}
-		rep.Attempts++
-		mUploadAttempts.Inc()
-		if idx > 0 {
-			rep.Resumes++
-			mUploadResumes.Inc()
-		}
-		attemptStart := time.Now()
-		sent, bytes, enc, next, err := postSegments(client, url, s.SessionID, segs[idx:], restartHdr, pacer, rp.AttemptTimeout)
-		mUploadAttemptSeconds.Observe(time.Since(attemptStart).Seconds())
-		rep.Segments += sent
-		rep.Bytes += bytes
-		rep.Encrypted += enc
-		mSegmentsSent.Add(int64(sent))
-		mSegmentBytesSent.Add(int64(bytes))
-		mSegmentsEncrypted.Add(int64(enc))
-		if err == nil {
-			if want := base + uint64(len(segs)); next != want {
-				err = fmt.Errorf("transport: server acknowledged %d, want %d", next, want)
-			} else {
-				rep.Elapsed = time.Since(start)
-				return rep, nil
-			}
-		}
-		lastErr = err
-		// Partial progress still counts: if the server advanced, reset
-		// the failure streak and the backoff growth.
 		progressed := false
-		if got, qerr := queryNextSeq(client, url, s.SessionID, rp.AttemptTimeout); qerr == nil && got > serverNext {
-			serverNext = got
-			progressed = true
+		if qerr != nil {
+			lastErr = qerr
+		} else {
+			restartHdr := ""
+			idx := 0
+			if serverNext < base {
+				// The server has not seen this epoch yet: announce it.
+				restartHdr = strconv.FormatUint(base, 10)
+			} else {
+				idx = len(segs)
+				if off := serverNext - base; off < uint64(len(segs)) {
+					idx = int(off)
+				}
+			}
+			rep.Attempts++
+			mUploadAttempts.Inc()
+			if idx > 0 {
+				rep.Resumes++
+				mUploadResumes.Inc()
+			}
+			attemptStart := time.Now()
+			sent, bytes, enc, next, err := postSegments(client, url, s.SessionID, segs[idx:], restartHdr, pacer, rp.AttemptTimeout)
+			mUploadAttemptSeconds.Observe(time.Since(attemptStart).Seconds())
+			rep.Segments += sent
+			rep.Bytes += bytes
+			rep.Encrypted += enc
+			mSegmentsSent.Add(int64(sent))
+			mSegmentBytesSent.Add(int64(bytes))
+			mSegmentsEncrypted.Add(int64(enc))
+			if err == nil {
+				if want := base + uint64(len(segs)); next != want {
+					err = fmt.Errorf("transport: server acknowledged %d, want %d", next, want)
+				} else {
+					rep.Elapsed = time.Since(start)
+					return rep, nil
+				}
+			}
+			lastErr = err
+			// Partial progress still counts: if the server advanced, reset
+			// the failure streak and the backoff growth.
+			if got, qerr := queryNextSeq(client, url, s.SessionID, rp.AttemptTimeout); qerr == nil && got > serverNext {
+				serverNext = got
+				progressed = true
+			}
 		}
 		if progressed {
 			failures = 0

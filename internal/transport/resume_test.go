@@ -115,7 +115,7 @@ func TestServerReportsResumePoint(t *testing.T) {
 	half := len(segs) / 2
 	var body bytes.Buffer
 	for _, seg := range segs[:half] {
-		if err := WriteSegment(&body, seg.seq, seg.encrypted, seg.payload); err != nil {
+		if err := WriteSegment(&body, seg.seq, seg.encrypted, seg.payload()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestChaosOutageMidUploadResumes(t *testing.T) {
 	}
 	var totalBytes int
 	for _, seg := range segs {
-		totalBytes += segmentHeaderSize + len(seg.payload)
+		totalBytes += segmentHeaderSize + len(seg.payload())
 	}
 	proxy, err := netem.NewFlakyProxy(hs.Listener.Addr().String(), nil, nil)
 	if err != nil {

@@ -241,8 +241,8 @@ func TestLiveHTTPUploadWireIdentical(t *testing.T) {
 		if g.seq != w.seq || g.encrypted != w.encrypted {
 			t.Fatalf("segment %d header: got (%d, %v), want (%d, %v)", i, g.seq, g.encrypted, w.seq, w.encrypted)
 		}
-		if !bytes.Equal(g.payload, w.payload) {
-			t.Fatalf("segment %d payload differs from buildSegments:\n got %x\nwant %x", i, g.payload, w.payload)
+		if !bytes.Equal(g.payload, w.payload()) {
+			t.Fatalf("segment %d payload differs from buildSegments:\n got %x\nwant %x", i, g.payload, w.payload())
 		}
 	}
 }

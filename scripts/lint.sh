@@ -1,7 +1,8 @@
 #!/bin/sh
 # lint.sh reproduces the CI lint gate locally: formatting, vet, the
-# zero-dependency check on the root module, the analyzer module's own
-# tests, and the thriftylint invariant suite over the whole tree.
+# zero-dependency check on the root module, the analyzer and benchmark
+# modules' own tests, and the thriftylint invariant suite over the whole
+# tree.
 # Run from anywhere inside the repository.
 set -eu
 
@@ -37,6 +38,9 @@ fi
 
 echo "==> go vet + go test (tools/analyzers)"
 (cd tools/analyzers && go vet ./... && go test ./...)
+
+echo "==> go vet + go test -race (bench, its own module)"
+(cd bench && go vet ./... && go test -race ./...)
 
 echo "==> thriftylint (14 passes + stale-suppression check; timed — CI pins the analysis budget)"
 lint_start=$(date +%s)

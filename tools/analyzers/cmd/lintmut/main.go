@@ -70,10 +70,10 @@ type mutant struct {
 
 const (
 	// The zero-copy send paths encrypt the payload region of the marshaled
-	// wire buffer in place; resume.go still encrypts a detached payload.
+	// wire buffer in place.
 	udpEncryptCall    = "cipher.EncryptPacket(uint64(seq), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])"
 	httpEncryptCall   = "cipher.EncryptPacket(seq, wire[segmentHeaderSize:][:s.Policy.EncryptSpan(len(payload))])"
-	resumeEncryptCall = "cipher.EncryptPacket(seq, payload[:s.Policy.EncryptSpan(len(payload))])"
+	resumeEncryptCall = "cipher.EncryptPacket(seq, wire[segmentHeaderSize:][:s.Policy.EncryptSpan(n)])"
 )
 
 var mutants = []mutant{
@@ -314,8 +314,8 @@ var mutants = []mutant{
 		ID: "netbound-reasm-unchecked", Analyzer: netbound.Analyzer,
 		File: "internal/codec/packetize.go",
 		Patches: []patch{{
-			Old: "\t\tj := mbStart + i\n\t\tif j >= len(f.MBData) {\n\t\t\treturn fmt.Errorf(\"codec: slice chunk %d lands outside %d macroblocks\", j, len(f.MBData))\n\t\t}\n\t\tf.MBData[j] = append([]byte(nil), c...)",
-			New: "\t\tf.MBData[mbStart+i] = append([]byte(nil), c...)",
+			Old: "\t\tif j >= len(f.MBData) {\n\t\t\treturn fmt.Errorf(\"codec: slice chunk %d lands outside %d macroblocks\", j, len(f.MBData))\n\t\t}\n",
+			New: "",
 		}},
 		Desc: "the reassembler indexes its frame buffer with a wire-decoded offset and no local bounds proof",
 	},
@@ -323,10 +323,10 @@ var mutants = []mutant{
 		ID: "netbound-segment-alloc", Analyzer: netbound.Analyzer,
 		File: "internal/transport/live_http.go",
 		Patches: []patch{{
-			Old: "\tif n > 1<<24 {\n\t\treturn 0, false, nil, fmt.Errorf(\"transport: implausible segment of %d bytes\", n)\n\t}\n\tpayload = make([]byte, n)",
-			New: "\tpayload = make([]byte, n)",
+			Old: "\tif n > 1<<24 {\n\t\treturn 0, false, nil, fmt.Errorf(\"transport: implausible segment of %d bytes\", n)\n\t}\n",
+			New: "",
 		}},
-		Desc: "ReadSegment allocates an attacker-sized payload buffer without capping the wire length field",
+		Desc: "the segment reader sizes its payload buffer from the wire length field without capping it",
 	},
 	{
 		ID: "netbound-container-count", Analyzer: netbound.Analyzer,
@@ -346,6 +346,15 @@ var mutants = []mutant{
 			New: "\t\tchunks[i] = rest[:l]",
 		}},
 		Desc: "SliceMBs slices chunk bytes by a wire length with the truncation guard removed",
+	},
+	{
+		ID: "netbound-reasm-walk-trunc", Analyzer: netbound.Analyzer,
+		File: "internal/codec/packetize.go",
+		Patches: []patch{{
+			Old: "\t\trest = rest[n:]\n\t\tif uint64(len(rest)) < l {\n\t\t\treturn fmt.Errorf(\"codec: slice truncated\")\n\t\t}\n\t\trest = rest[l:]",
+			New: "\t\trest = rest[n:]\n\t\trest = rest[l:]",
+		}},
+		Desc: "the reassembler's in-place chunk walk skips chunk bytes by a wire length with the truncation guard removed",
 	},
 
 	// --- seqwrap: no raw ordering arithmetic on wrapping counters ---
