@@ -50,10 +50,11 @@ func SamsungGalaxySII() Profile {
 			vcrypt.AES128:    12e6,
 			vcrypt.AES256:    9e6,
 			vcrypt.TripleDES: 1.6e6,
-			// CTR keystreams are feedback-free, so the second core can
-			// precompute them during the pacing wait (vcrypt.Prefetch);
-			// the hot path then pays one XOR pass plus a cheaper
-			// per-packet setup (no chained block at the boundary).
+			// CTR keystreams are feedback-free, so the blocks pipeline
+			// and the per-packet setup is cheaper (no chained block at
+			// the boundary). The paced sender encrypts each frame inside
+			// its pacing wait, before the frame is due, so that cost
+			// stays off the release path.
 			vcrypt.AES128CTR: 21e6,
 			vcrypt.AES256CTR: 16e6,
 		},

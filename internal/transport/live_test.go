@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"math"
+	"net"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/evalvid"
 	"repro/internal/netem"
+	"repro/internal/rtp"
 	"repro/internal/vcrypt"
 	"repro/internal/video"
 )
@@ -90,23 +93,91 @@ func TestLiveUDPWithLossFilter(t *testing.T) {
 	}
 }
 
+// pacingSlack is how much earlier than its schedule a paced frame may
+// seem to arrive. Frame 0's first datagram anchors the schedule, so
+// listener wake-up jitter on that one arrival shifts every later frame;
+// a frame released one slot early would still miss by 20ms - 6ms.
+const pacingSlack = 6 * time.Millisecond
+
+// TestLiveUDPPacing checks that both UDP senders release every frame on
+// the capture schedule. A raw listener timestamps each arrival: frames
+// must arrive in order, and no datagram of frame f may arrive earlier
+// than f/FPS after frame 0's first datagram, less pacingSlack. The
+// senders encrypt a frame before its pacing sleep; that work must not
+// move the release time.
 func TestLiveUDPPacing(t *testing.T) {
-	pol := vcrypt.Policy{Mode: vcrypt.ModeNone, Alg: vcrypt.AES128}
+	pol := vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: vcrypt.AES128}
 	s, _ := testSession(t, video.MotionLow, pol)
 	s.Encoded = s.Encoded[:6]
-	s.FPS = 60
-	rx, err := NewLiveReceiver(s.Config, pol.Alg, s.Key, "127.0.0.1:0", 0, 4)
-	if err != nil {
-		t.Fatal(err)
+	s.FPS = 50
+	senders := []struct {
+		name string
+		send func(addr string) (LiveSendReport, error)
+	}{
+		{"plain", func(addr string) (LiveSendReport, error) { return LiveUDPSend(s, addr, "", true) }},
+		{"reliable", func(addr string) (LiveSendReport, error) {
+			return LiveUDPSendReliable(s, addr, "", true, ReliableUDPOptions{Drain: 10 * time.Millisecond})
+		}},
 	}
-	defer rx.Close()
-	rep, err := LiveUDPSend(s, rx.Addr(), "", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 6 frames at 60 fps: at least 5 inter-frame gaps ~ 83 ms.
-	if rep.Elapsed < 80*time.Millisecond {
-		t.Fatalf("paced send finished too fast: %v", rep.Elapsed)
+	for _, sd := range senders {
+		t.Run(sd.name, func(t *testing.T) {
+			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			type arrival struct {
+				frame int
+				at    time.Time
+			}
+			// Sized above the datagrams of the six frames sent, so the
+			// reader never blocks and stamps each arrival as it lands.
+			arrivals := make(chan arrival, 4096)
+			go func() {
+				buf := make([]byte, 65536)
+				for {
+					n, err := conn.Read(buf)
+					at := time.Now()
+					if err != nil {
+						return
+					}
+					if p, err := rtp.Parse(buf[:n]); err == nil {
+						arrivals <- arrival{int(math.Round(float64(p.Timestamp) * s.FPS / rtp.ClockRate)), at}
+					}
+				}
+			}()
+			rep, err := sd.send(conn.LocalAddr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var t0 time.Time
+			last := 0
+			for i := 0; i < rep.Packets; i++ {
+				var a arrival
+				select {
+				case a = <-arrivals:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("captured %d of %d datagrams", i, rep.Packets)
+				}
+				if i == 0 {
+					if a.frame != 0 {
+						t.Fatalf("first datagram belongs to frame %d", a.frame)
+					}
+					t0 = a.at
+				}
+				if a.frame < last {
+					t.Fatalf("datagram of frame %d arrived after frame %d", a.frame, last)
+				}
+				last = a.frame
+				due := time.Duration(float64(a.frame) / s.FPS * float64(time.Second))
+				if got := a.at.Sub(t0); got < due-pacingSlack {
+					t.Fatalf("frame %d arrived %v after frame 0, due at %v", a.frame, got, due)
+				}
+			}
+			if last != len(s.Encoded)-1 {
+				t.Fatalf("last frame captured is %d, want %d", last, len(s.Encoded)-1)
+			}
+		})
 	}
 }
 

@@ -39,6 +39,16 @@ type LiveSendReport struct {
 // frame-capture schedule (real-time streaming); otherwise back to back
 // (file upload).
 func LiveUDPSend(s Session, rxAddr, evAddr string, pace bool) (LiveSendReport, error) {
+	return liveUDPSend(s, rxAddr, evAddr, pace, nil)
+}
+
+// liveUDPSend is the one frame loop behind both UDP senders (rel is nil
+// for the plain one). A frame's datagrams are prepared in order — pad,
+// select, marshal into headroom, encrypt in place, ledger — before the
+// sleep until the frame is due, and written after it: encryption runs
+// inside the pacing wait, on the sender's goroutine, and only for the
+// packets the selector marks.
+func liveUDPSend(s Session, rxAddr, evAddr string, pace bool, rel *retransmitter) (LiveSendReport, error) {
 	var rep LiveSendReport
 	if err := s.Validate(); err != nil {
 		return rep, err
@@ -51,8 +61,16 @@ func LiveUDPSend(s Session, rxAddr, evAddr string, pace bool) (LiveSendReport, e
 	if err != nil {
 		return rep, err
 	}
-	ledger.Emit(ledger.EventPolicy, "udp", 0, 0, s.Policy.Name())
-	rxConn, err := net.Dial("udp", rxAddr)
+	tag := "udp"
+	if rel != nil {
+		tag = "udp-reliable"
+	}
+	ledger.Emit(ledger.EventPolicy, tag, 0, 0, s.Policy.Name())
+	raddr, err := net.ResolveUDPAddr("udp", rxAddr)
+	if err != nil {
+		return rep, fmt.Errorf("transport: resolve receiver: %w", err)
+	}
+	rxConn, err := net.DialUDP("udp", nil, raddr)
 	if err != nil {
 		return rep, fmt.Errorf("transport: dial receiver: %w", err)
 	}
@@ -65,9 +83,17 @@ func LiveUDPSend(s Session, rxAddr, evAddr string, pace bool) (LiveSendReport, e
 		}
 		defer evConn.Close()
 	}
+	if rel != nil {
+		rel.stopc = make(chan struct{})
+		rel.wg.Add(1)
+		go rel.serve(rxConn)
+		defer rel.stop()
+	}
+
 	seqr := rtp.NewSequencer(0x7561) // arbitrary SSRC
 	pool := codec.NewBufPool()
 	var wps []codec.WirePacket
+	var outs [][]byte
 	start := time.Now()
 	seq := 0
 	for fi, ef := range s.Encoded {
@@ -75,28 +101,19 @@ func LiveUDPSend(s Session, rxAddr, evAddr string, pace bool) (LiveSendReport, e
 		if err != nil {
 			return rep, err
 		}
-		if pace {
-			due := start.Add(time.Duration(float64(fi) / s.FPS * float64(time.Second)))
-			if d := time.Until(due); d > 0 {
-				// Overlap the pacing wait with keystream precompute, so
-				// by release time EncryptPacket on the hot path is a
-				// single XOR pass over cached keystream.
-				go cipher.Prefetch(uint64(seq), len(wps), s.MTU)
-				time.Sleep(d)
-			}
-		}
+		base := seq
+		outs = outs[:0]
 		for i := range wps {
-			pkt := &wps[i]
-			payload := pkt.Payload
+			payload := wps[i].Payload
 			if s.PadToMTU && len(payload) < s.MTU {
 				payload = zeroPad(payload, s.MTU-len(payload))
 			}
-			encrypted := selector.ShouldEncrypt(pkt.IsIFrame())
+			encrypted := selector.ShouldEncrypt(wps[i].IsIFrame())
 			// Marshal first — the RTP header lands in the buffer's
 			// headroom, the payload already aliases the rest — then
 			// encrypt the payload region in place: same wire bytes as
 			// encrypt-then-marshal, zero copies.
-			out := seqr.Next(payload, float64(fi)/s.FPS, encrypted).MarshalInto(pkt.Wire(len(payload)))
+			out := seqr.Next(payload, float64(fi)/s.FPS, encrypted).MarshalInto(wps[i].Wire(len(payload)))
 			if encrypted {
 				t0 := time.Now()
 				cipher.EncryptPacket(uint64(seq), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])
@@ -104,30 +121,80 @@ func LiveUDPSend(s Session, rxAddr, evAddr string, pace bool) (LiveSendReport, e
 				rep.Encrypted++
 				mUDPEncrypted.Inc()
 				if span := s.Policy.EncryptSpan(len(payload)); span < len(payload) {
-					ledger.Emit(ledger.EventHeaderOnly, "udp", uint64(seq), uint64(span), "")
+					ledger.Emit(ledger.EventHeaderOnly, tag, uint64(seq), uint64(span), "")
 				}
 			} else {
-				ledger.Emit(ledger.EventPlainPacket, "udp", uint64(seq), uint64(len(payload)), "")
+				ledger.Emit(ledger.EventPlainPacket, tag, uint64(seq), uint64(len(payload)), "")
 			}
-			if _, err := rxConn.Write(out); err != nil {
-				pool.Put(pkt)
-				return rep, fmt.Errorf("transport: send to receiver: %w", err)
+			outs = append(outs, out)
+			seq++
+		}
+		if pace {
+			due := start.Add(time.Duration(float64(fi) / s.FPS * float64(time.Second)))
+			if d := time.Until(due); d > 0 {
+				time.Sleep(d)
 			}
-			if evConn != nil {
+		}
+		for i, out := range outs {
+			pkt := &wps[i]
+			send := true
+			if rel != nil {
+				if pkt.IsIFrame() {
+					// Buffer before the first write, so a NACK can
+					// never fetch a datagram that has not been sent.
+					rel.mu.Lock()
+					rel.iBuf[uint64(base+i)] = out
+					rel.mu.Unlock()
+					//lint:retain(I-frame retransmit queue holds the marshaled bytes until the drain ends)
+					pkt.Retain()
+				}
+				if rel.cond != nil {
+					imp := rel.cond.Next(uint64(base + i))
+					if send = !imp.Drop; !send {
+						rep.Dropped++
+					} else {
+						time.Sleep(imp.Delay)
+						for k := 0; k < imp.Duplicates; k++ {
+							rxConn.Write(out) //nolint:errcheck // duplicates are opportunistic
+							rep.Duplicated++
+						}
+					}
+				}
+			}
+			if send {
+				if _, err = rxConn.Write(out); err != nil {
+					err = fmt.Errorf("transport: send to receiver: %w", err)
+				}
+			}
+			if err == nil && evConn != nil {
 				// Broadcast overhear: the same datagram reaches the
 				// eavesdropper's capture socket.
-				if _, err := evConn.Write(out); err != nil {
-					pool.Put(pkt)
-					return rep, fmt.Errorf("transport: send to eavesdropper: %w", err)
+				if _, err = evConn.Write(out); err != nil {
+					err = fmt.Errorf("transport: send to eavesdropper: %w", err)
 				}
+			}
+			if err != nil {
+				// Recycle this datagram and the rest of the frame unsent.
+				pool.Put(pkt)
+				for j := i + 1; j < len(wps); j++ {
+					pool.Put(&wps[j])
+				}
+				return rep, err
 			}
 			rep.Packets++
 			rep.Bytes += len(out)
 			mUDPPacketsSent.Inc()
 			mUDPBytesSent.Add(int64(len(out)))
+			// Put after Retain is a no-op: retained I-frame buffers live
+			// on in the retransmit map, the rest recycle at once.
 			pool.Put(pkt)
-			seq++
 		}
+	}
+	if rel != nil {
+		// Keep answering NACKs while the receiver notices its gaps.
+		time.Sleep(rel.drain)
+		rel.stop()
+		rep.Retransmits = rel.retransmits
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
@@ -522,189 +589,71 @@ type ReliableUDPOptions struct {
 // I-frame burst wrecks the whole GOP (the asymmetry the paper's policies
 // are built on). The receiver must have EnableNACK active.
 func LiveUDPSendReliable(s Session, rxAddr, evAddr string, pace bool, opts ReliableUDPOptions) (LiveSendReport, error) {
-	var rep LiveSendReport
-	if err := s.Validate(); err != nil {
-		return rep, err
-	}
-	cipher, err := vcrypt.NewCipher(s.Policy.Alg, s.Key)
-	if err != nil {
-		return rep, err
-	}
-	selector, err := vcrypt.NewSelector(s.Policy)
-	if err != nil {
-		return rep, err
-	}
-	ledger.Emit(ledger.EventPolicy, "udp-reliable", 0, 0, s.Policy.Name())
-	raddr, err := net.ResolveUDPAddr("udp", rxAddr)
-	if err != nil {
-		return rep, fmt.Errorf("transport: resolve receiver: %w", err)
-	}
-	rxConn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return rep, fmt.Errorf("transport: dial receiver: %w", err)
-	}
-	defer rxConn.Close()
-	var evConn net.Conn
-	if evAddr != "" {
-		evConn, err = net.Dial("udp", evAddr)
-		if err != nil {
-			return rep, fmt.Errorf("transport: dial eavesdropper: %w", err)
-		}
-		defer evConn.Close()
-	}
 	drain := opts.Drain
 	if drain <= 0 {
 		drain = 500 * time.Millisecond
 	}
+	return liveUDPSend(s, rxAddr, evAddr, pace, &retransmitter{drain: drain, cond: opts.Conditioner, iBuf: make(map[uint64][]byte)})
+}
 
-	// Retransmit buffer: extended seq → original marshaled RTP bytes.
-	var (
-		bufMu       sync.Mutex
-		iBuf        = make(map[uint64][]byte)
-		retransmits int
-	)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 65536)
-		for {
-			rxConn.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck // UDP deadline set cannot fail
-			n, err := rxConn.Read(buf)
-			if err != nil {
-				select {
-				case <-stop:
-					return
-				default:
-					continue // deadline tick; keep listening
-				}
-			}
-			seqs, ok := parseNACK(buf[:n])
-			if !ok {
-				continue
-			}
-			// Snapshot the buffered packets under the lock, write after
-			// releasing it: the send loop stores fresh I-frame packets
-			// under the same mutex, and a UDP write stalled by the OS
-			// would otherwise stall the encode path with it.
-			var resend [][]byte
-			bufMu.Lock()
-			for _, seq := range seqs {
-				if out, have := iBuf[seq]; have {
-					resend = append(resend, out)
-					retransmits++
-					mNACKRetransmits.Inc()
-				}
-			}
-			bufMu.Unlock()
-			for _, out := range resend {
-				rxConn.Write(out) //nolint:errcheck // best effort, like the medium
-			}
-		}
-	}()
+// retransmitter is what the reliable sender adds to the plain one: the
+// I-frame retransmit buffer, the reader goroutine that serves NACKs from
+// it, and the sender-side link conditioner.
+type retransmitter struct {
+	drain time.Duration
+	cond  *netem.Conditioner
 
-	seqr := rtp.NewSequencer(0x7561) // same arbitrary SSRC as LiveUDPSend
-	pool := codec.NewBufPool()
-	var wps []codec.WirePacket
-	start := time.Now()
-	seq := 0
-	for fi, ef := range s.Encoded {
-		wps, err = codec.PacketizeInto(ef, s.MTU, rtp.HeaderSize, pool, wps[:0])
+	mu          sync.Mutex
+	iBuf        map[uint64][]byte // extended seq → original marshaled RTP bytes
+	retransmits int
+
+	stopc    chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+}
+
+// stop ends the NACK reader and waits for it; later calls are no-ops.
+func (r *retransmitter) stop() {
+	r.stopOnce.Do(func() { close(r.stopc); r.wg.Wait() })
+}
+
+// serve answers NACKs from the retransmit buffer until stop is called.
+func (r *retransmitter) serve(conn *net.UDPConn) {
+	defer r.wg.Done()
+	buf := make([]byte, 65536)
+	for {
+		conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck // UDP deadline set cannot fail
+		n, err := conn.Read(buf)
 		if err != nil {
-			close(stop)
-			wg.Wait()
-			return rep, err
-		}
-		if pace {
-			due := start.Add(time.Duration(float64(fi) / s.FPS * float64(time.Second)))
-			if d := time.Until(due); d > 0 {
-				// Precompute this frame's keystreams while waiting for
-				// its release time (see LiveUDPSend).
-				go cipher.Prefetch(uint64(seq), len(wps), s.MTU)
-				time.Sleep(d)
+			select {
+			case <-r.stopc:
+				return
+			default:
+				continue // deadline tick; keep listening
 			}
 		}
-		for i := range wps {
-			pkt := &wps[i]
-			payload := pkt.Payload
-			if s.PadToMTU && len(payload) < s.MTU {
-				payload = zeroPad(payload, s.MTU-len(payload))
+		seqs, ok := parseNACK(buf[:n])
+		if !ok {
+			continue
+		}
+		// Snapshot the buffered packets under the lock, write after
+		// releasing it: the send loop stores fresh I-frame packets
+		// under the same mutex, and a UDP write stalled by the OS
+		// would otherwise stall the send loop with it.
+		var resend [][]byte
+		r.mu.Lock()
+		for _, seq := range seqs {
+			if out, have := r.iBuf[seq]; have {
+				resend = append(resend, out)
+				r.retransmits++
+				mNACKRetransmits.Inc()
 			}
-			encrypted := selector.ShouldEncrypt(pkt.IsIFrame())
-			out := seqr.Next(payload, float64(fi)/s.FPS, encrypted).MarshalInto(pkt.Wire(len(payload)))
-			if encrypted {
-				t0 := time.Now()
-				cipher.EncryptPacket(uint64(seq), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])
-				rep.CryptoTime += time.Since(t0)
-				rep.Encrypted++
-				mUDPEncrypted.Inc()
-				if span := s.Policy.EncryptSpan(len(payload)); span < len(payload) {
-					ledger.Emit(ledger.EventHeaderOnly, "udp-reliable", uint64(seq), uint64(span), "")
-				}
-			} else {
-				ledger.Emit(ledger.EventPlainPacket, "udp-reliable", uint64(seq), uint64(len(payload)), "")
-			}
-			if pkt.IsIFrame() {
-				bufMu.Lock()
-				iBuf[uint64(seq)] = out
-				bufMu.Unlock()
-				//lint:retain(I-frame retransmit queue holds the marshaled bytes until the drain ends)
-				pkt.Retain()
-			}
-			send := true
-			if opts.Conditioner != nil {
-				imp := opts.Conditioner.Next(uint64(seq))
-				switch {
-				case imp.Drop:
-					send = false
-					rep.Dropped++
-				default:
-					if imp.Delay > 0 {
-						time.Sleep(imp.Delay)
-					}
-					for i := 0; i < imp.Duplicates; i++ {
-						rxConn.Write(out) //nolint:errcheck // duplicates are opportunistic
-						rep.Duplicated++
-					}
-				}
-			}
-			if send {
-				if _, err := rxConn.Write(out); err != nil {
-					pool.Put(pkt)
-					close(stop)
-					wg.Wait()
-					return rep, fmt.Errorf("transport: send to receiver: %w", err)
-				}
-			}
-			if evConn != nil {
-				if _, err := evConn.Write(out); err != nil {
-					pool.Put(pkt)
-					close(stop)
-					wg.Wait()
-					return rep, fmt.Errorf("transport: send to eavesdropper: %w", err)
-				}
-			}
-			rep.Packets++
-			rep.Bytes += len(out)
-			mUDPPacketsSent.Inc()
-			mUDPBytesSent.Add(int64(len(out)))
-			// Retained I-frame buffers live on in the retransmit map and
-			// never rejoin the pool (Put after Retain is a no-op); P/B
-			// buffers recycle at once.
-			pool.Put(pkt)
-			seq++
+		}
+		r.mu.Unlock()
+		for _, out := range resend {
+			conn.Write(out) //nolint:errcheck // best effort, like the medium
 		}
 	}
-	// Keep answering NACKs while the receiver notices its gaps.
-	time.Sleep(drain)
-	close(stop)
-	wg.Wait()
-	bufMu.Lock()
-	rep.Retransmits = retransmits
-	bufMu.Unlock()
-	rep.Elapsed = time.Since(start)
-	return rep, nil
 }
 
 // Close shuts the socket down.

@@ -144,49 +144,65 @@ func compareWire(t *testing.T, want [][]byte, got map[uint16][]byte) {
 	}
 }
 
+// goldenAlgs are the cipher algorithms the golden UDP tests cover.
+var goldenAlgs = []vcrypt.Algorithm{vcrypt.AES128, vcrypt.AES256, vcrypt.TripleDES, vcrypt.AES128CTR, vcrypt.AES256CTR}
+
+// goldenVariants are the padded and header-only policy shapes, where the
+// in-place zeroPad and the partial encrypt span could plausibly diverge
+// from the legacy bytes, plus a policy that encrypts nothing.
+var goldenVariants = []struct {
+	name   string
+	policy vcrypt.Policy
+	pad    bool
+}{
+	{"pad-to-mtu", vcrypt.Policy{Mode: vcrypt.ModeAll, Alg: vcrypt.AES128}, true},
+	{"header-only", vcrypt.Policy{Mode: vcrypt.ModeAll, Alg: vcrypt.AES128, HeaderOnlyBytes: vcrypt.MinHeaderOnlyBytes}, false},
+	{"header-only-padded", vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: vcrypt.AES256, HeaderOnlyBytes: vcrypt.MinHeaderOnlyBytes}, true},
+	{"plaintext", vcrypt.Policy{Mode: vcrypt.ModeNone, Alg: vcrypt.AES128}, false},
+}
+
+// checkUDPWire sends s with the plain or the reliable UDP sender and
+// compares every datagram with the legacy construction. Paced runs raise
+// the frame rate to 1000 fps so they finish in milliseconds; the legacy
+// construction stamps the same RTP timestamps from s.FPS.
+func checkUDPWire(t *testing.T, s Session, reliable, pace bool) {
+	t.Helper()
+	if pace {
+		s.FPS = 1000
+	}
+	want := legacyDatagrams(t, s)
+	got := captureDatagrams(t, len(want), func(addr string) error {
+		var err error
+		if reliable {
+			_, err = LiveUDPSendReliable(s, addr, "", pace, ReliableUDPOptions{Drain: 20 * time.Millisecond})
+		} else {
+			_, err = LiveUDPSend(s, addr, "", pace)
+		}
+		return err
+	})
+	compareWire(t, want, got)
+}
+
 // TestLiveUDPSendWireIdentical checks the zero-copy UDP sender against the
 // legacy construction for every cipher algorithm, with a mixed
 // encrypted/plaintext policy so both sides of the selection guard cross
 // the wire.
 func TestLiveUDPSendWireIdentical(t *testing.T) {
-	algs := []vcrypt.Algorithm{vcrypt.AES128, vcrypt.AES256, vcrypt.TripleDES, vcrypt.AES128CTR, vcrypt.AES256CTR}
-	for _, alg := range algs {
+	for _, alg := range goldenAlgs {
 		t.Run(alg.String(), func(t *testing.T) {
-			s := goldenSession(t, vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: alg})
-			want := legacyDatagrams(t, s)
-			got := captureDatagrams(t, len(want), func(addr string) error {
-				_, err := LiveUDPSend(s, addr, "", false)
-				return err
-			})
-			compareWire(t, want, got)
+			checkUDPWire(t, goldenSession(t, vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: alg}), false, false)
 		})
 	}
 }
 
-// TestLiveUDPSendWireIdenticalVariants covers the padded and header-only
-// policy shapes, where the in-place zeroPad and the partial encrypt span
-// could plausibly diverge from the legacy bytes.
+// TestLiveUDPSendWireIdenticalVariants covers the padded, header-only and
+// plaintext policy shapes.
 func TestLiveUDPSendWireIdenticalVariants(t *testing.T) {
-	cases := []struct {
-		name   string
-		policy vcrypt.Policy
-		pad    bool
-	}{
-		{"pad-to-mtu", vcrypt.Policy{Mode: vcrypt.ModeAll, Alg: vcrypt.AES128}, true},
-		{"header-only", vcrypt.Policy{Mode: vcrypt.ModeAll, Alg: vcrypt.AES128, HeaderOnlyBytes: vcrypt.MinHeaderOnlyBytes}, false},
-		{"header-only-padded", vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: vcrypt.AES256, HeaderOnlyBytes: vcrypt.MinHeaderOnlyBytes}, true},
-		{"plaintext", vcrypt.Policy{Mode: vcrypt.ModeNone, Alg: vcrypt.AES128}, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenVariants {
 		t.Run(tc.name, func(t *testing.T) {
 			s := goldenSession(t, tc.policy)
 			s.PadToMTU = tc.pad
-			want := legacyDatagrams(t, s)
-			got := captureDatagrams(t, len(want), func(addr string) error {
-				_, err := LiveUDPSend(s, addr, "", false)
-				return err
-			})
-			compareWire(t, want, got)
+			checkUDPWire(t, s, false, false)
 		})
 	}
 }
@@ -195,13 +211,29 @@ func TestLiveUDPSendWireIdenticalVariants(t *testing.T) {
 // zero-copy path (whose I-frame datagrams outlive the pool in the
 // retransmit buffer) against the same golden bytes.
 func TestLiveUDPSendReliableWireIdentical(t *testing.T) {
-	s := goldenSession(t, vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: vcrypt.AES128})
-	want := legacyDatagrams(t, s)
-	got := captureDatagrams(t, len(want), func(addr string) error {
-		_, err := LiveUDPSendReliable(s, addr, "", false, ReliableUDPOptions{Drain: 20 * time.Millisecond})
-		return err
+	checkUDPWire(t, goldenSession(t, vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: vcrypt.AES128}), true, false)
+}
+
+// TestLiveUDPSendPacedWireIdentical repeats the golden checks with pacing
+// on: the paced sender prepares and encrypts each frame before its
+// pacing sleep and writes it after, and must still put the legacy bytes
+// on the wire for every algorithm, every policy shape and both senders.
+func TestLiveUDPSendPacedWireIdentical(t *testing.T) {
+	for _, alg := range goldenAlgs {
+		t.Run(alg.String(), func(t *testing.T) {
+			checkUDPWire(t, goldenSession(t, vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: alg}), false, true)
+		})
+	}
+	for _, tc := range goldenVariants {
+		t.Run(tc.name, func(t *testing.T) {
+			s := goldenSession(t, tc.policy)
+			s.PadToMTU = tc.pad
+			checkUDPWire(t, s, false, true)
+		})
+	}
+	t.Run("reliable", func(t *testing.T) {
+		checkUDPWire(t, goldenSession(t, vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: vcrypt.AES128}), true, true)
 	})
-	compareWire(t, want, got)
 }
 
 // TestLiveHTTPUploadWireIdentical checks the zero-copy HTTP segment path

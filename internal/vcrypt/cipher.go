@@ -297,11 +297,14 @@ func (pc *prefetchCache) store(seq uint64, ks *ksBuf) {
 // Prefetch computes the keystreams for packets [baseSeq, baseSeq+count)
 // of up to size bytes each and caches them for EncryptPacket to consume
 // with a single XOR pass. It runs synchronously; callers overlap it with
-// other work (the paced sender runs it while sleeping until the next
-// frame is due). Prefetching is purely an optimisation: output bytes are
-// identical whether a packet's keystream was prefetched or generated
-// inline, and a miss (size too small, entry swept) falls back to the
-// inline path.
+// other work. No live sender calls it: the paced UDP senders encrypt each
+// frame inline before sleeping until it is due, which keeps crypto off
+// the release path without a prefetch goroutine or keystream for
+// packets the policy leaves plain. The benchmark's replay trace and
+// BenchmarkEncryptPacketPrefetched still use it. Prefetching is purely
+// an optimisation: output bytes are identical whether a packet's
+// keystream was prefetched or generated inline, and a miss (size too
+// small, entry swept) falls back to the inline path.
 func (c *Cipher) Prefetch(baseSeq uint64, count, size int) {
 	if count <= 0 || size <= 0 {
 		return

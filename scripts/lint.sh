@@ -47,6 +47,9 @@ lint_start=$(date +%s)
 (cd tools/analyzers && go run ./cmd/thriftylint -staleallow -C "$root" ./...)
 echo "thriftylint sweep took $(($(date +%s) - lint_start))s (load + 14 passes)"
 
+echo "==> thriftylint (bench, its own module; the root module loads through its replace)"
+(cd tools/analyzers && go run ./cmd/thriftylint -staleallow -C "$root/bench" ./...)
+
 echo "==> lintmut (quick mutation subset; CI runs the full set)"
 (cd tools/analyzers && go run ./cmd/lintmut -root "$root" -quick)
 

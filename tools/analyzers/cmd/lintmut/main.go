@@ -80,16 +80,19 @@ var mutants = []mutant{
 	// --- plainleak: the selective-encryption invariant ---
 	{
 		ID: "udp-iframe-plain", Analyzer: plainleak.Analyzer,
-		File:    "internal/transport/live_udp.go",
-		Patches: []patch{{Old: udpEncryptCall, New: "_ = cipher", Occ: 2}},
-		Desc:    "LiveUDPSendReliable sends I-frame packets over UDP without encrypting them",
-		Quick:   true,
+		File: "internal/transport/live_udp.go",
+		Patches: []patch{{
+			Old: "\t\t\tif encrypted {\n\t\t\t\tt0 := time.Now()",
+			New: "\t\t\tif encrypted && !wps[i].IsIFrame() {\n\t\t\t\tt0 := time.Now()",
+		}},
+		Desc:  "the UDP send loop skips encryption for the I-frame packets the selector marked",
+		Quick: true,
 	},
 	{
 		ID: "udp-plain", Analyzer: plainleak.Analyzer,
 		File:    "internal/transport/live_udp.go",
-		Patches: []patch{{Old: udpEncryptCall, New: "_ = cipher", Occ: 1}},
-		Desc:    "LiveUDPSend drops the EncryptPacket call on the selected path",
+		Patches: []patch{{Old: udpEncryptCall, New: "_ = cipher"}},
+		Desc:    "the UDP send loop drops the EncryptPacket call on the selected path",
 	},
 	{
 		ID: "http-plain", Analyzer: plainleak.Analyzer,
@@ -107,9 +110,8 @@ var mutants = []mutant{
 		ID: "udp-guard-bypass", Analyzer: plainleak.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "encrypted := selector.ShouldEncrypt(pkt.IsIFrame())",
-			New: "_ = selector\n\t\t\tencrypted := pkt.IsIFrame()",
-			Occ: 1,
+			Old: "encrypted := selector.ShouldEncrypt(wps[i].IsIFrame())",
+			New: "_ = selector\n\t\t\tencrypted := wps[i].IsIFrame()",
 		}},
 		Desc: "the encryption decision no longer comes from the policy selector, so plaintext sends are unsanctioned",
 	},
@@ -128,8 +130,8 @@ var mutants = []mutant{
 		ID: "nack-under-lock", Analyzer: lockheld.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\t\t\tbufMu.Unlock()\n\t\t\tfor _, out := range resend {",
-			New: "\t\t\tfor _, out := range resend {",
+			Old: "\t\tr.mu.Unlock()\n\t\tfor _, out := range resend {",
+			New: "\t\tfor _, out := range resend {",
 		}},
 		Desc:  "NACK retransmits go back to writing UDP datagrams while holding the I-frame buffer lock",
 		Quick: true,
@@ -148,8 +150,8 @@ var mutants = []mutant{
 		ID: "ibuf-defer-lock", Analyzer: lockheld.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\t\t\t\tbufMu.Lock()\n\t\t\t\tiBuf[uint64(seq)] = out\n\t\t\t\tbufMu.Unlock()",
-			New: "\t\t\t\tbufMu.Lock()\n\t\t\t\tiBuf[uint64(seq)] = out\n\t\t\t\tdefer bufMu.Unlock()",
+			Old: "\t\t\t\t\trel.mu.Lock()\n\t\t\t\t\trel.iBuf[uint64(base+i)] = out\n\t\t\t\t\trel.mu.Unlock()",
+			New: "\t\t\t\t\trel.mu.Lock()\n\t\t\t\t\trel.iBuf[uint64(base+i)] = out\n\t\t\t\t\tdefer rel.mu.Unlock()",
 		}},
 		Desc: "the I-frame buffer lock is held until function return, across every subsequent send",
 	},
@@ -239,18 +241,18 @@ var mutants = []mutant{
 		ID: "bufown-leak", Analyzer: bufown.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\t\t\tmUDPBytesSent.Add(int64(len(out)))\n\t\t\tpool.Put(pkt)\n\t\t\tseq++",
-			New: "\t\t\tmUDPBytesSent.Add(int64(len(out)))\n\t\t\tseq++",
+			Old: "\t\t\tpool.Put(pkt)\n\t\t}\n\t}\n\tif rel != nil {",
+			New: "\t\t}\n\t}\n\tif rel != nil {",
 		}},
-		Desc:  "LiveUDPSend stops recycling sent packets: every iteration leaks its pooled buffer",
+		Desc:  "the UDP send loop stops recycling sent packets: every iteration leaks its pooled buffer",
 		Quick: true,
 	},
 	{
 		ID: "bufown-double-put", Analyzer: bufown.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\t\t\t\tpool.Put(pkt)\n\t\t\t\treturn rep, fmt.Errorf(\"transport: send to receiver: %w\", err)",
-			New: "\t\t\t\tpool.Put(pkt)\n\t\t\t\tpool.Put(pkt)\n\t\t\t\treturn rep, fmt.Errorf(\"transport: send to receiver: %w\", err)",
+			Old: "\t\t\t\tpool.Put(pkt)\n\t\t\t\tfor j := i + 1; j < len(wps); j++ {",
+			New: "\t\t\t\tpool.Put(pkt)\n\t\t\t\tpool.Put(pkt)\n\t\t\t\tfor j := i + 1; j < len(wps); j++ {",
 		}},
 		Desc: "the send error path releases the same packet twice, poisoning the pool with a duplicate buffer",
 	},
@@ -376,7 +378,6 @@ var mutants = []mutant{
 		Patches: []patch{{
 			Old: udpEncryptCall,
 			New: "cipher.EncryptPacket(uint64(uint16(seq)), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])",
-			Occ: 1,
 		}},
 		Desc:  "the UDP sender truncates its IV counter to 16 bits before widening it back: keystream reuse every 65536 packets",
 		Quick: true,

@@ -169,9 +169,11 @@ func LoadDir(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// Metadata for the whole module so imports between target packages
-	// always resolve, whatever subset the patterns select.
-	metas, err := goList(dir, []string{"./..."})
+	// Metadata for the whole module and its non-standard dependencies,
+	// so imports between target packages always resolve, whatever subset
+	// the patterns select, and a module that pulls another one in with a
+	// replace directive type-checks the replaced packages from source.
+	metas, err := goList(dir, []string{"-deps", "./..."})
 	if err != nil {
 		return nil, err
 	}
@@ -183,6 +185,9 @@ func LoadDir(dir string, patterns ...string) ([]*Package, error) {
 		checking: make(map[string]bool),
 	}
 	for _, m := range metas {
+		if m.Standard {
+			continue // the shared source importer covers the standard library
+		}
 		if m.Error != nil {
 			return nil, fmt.Errorf("go list %s: %s", m.ImportPath, m.Error.Err)
 		}
