@@ -183,7 +183,7 @@ func BenchmarkCipherAES256(b *testing.B) { benchCipher(b, vcrypt.AES256) }
 
 func BenchmarkCipher3DES(b *testing.B) { benchCipher(b, vcrypt.TripleDES) }
 
-func BenchmarkQBDSolve(b *testing.B) {
+func BenchmarkSolveQueue(b *testing.B) {
 	arr := analytic.MMPP2{P1: 300, P2: 15, Lambda1: 1500, Lambda2: 120}
 	sp := analytic.ServiceParams{
 		PI:   arr.IFramePacketFraction(),
@@ -261,42 +261,6 @@ func BenchmarkPacketize(b *testing.B) {
 }
 
 // --- Ablation studies (DESIGN.md) ---
-
-// BenchmarkAblationErlangOrder quantifies the accuracy/cost trade-off of
-// the PH fit order behind the QBD solver: E[W] drift relative to the
-// highest order, against solve time.
-func BenchmarkAblationErlangOrder(b *testing.B) {
-	arr := analytic.MMPP2{P1: 300, P2: 15, Lambda1: 1500, Lambda2: 120}
-	base := analytic.ServiceParams{
-		PI: arr.IFramePacketFraction(), EncI: 1, EncP: 0.2,
-		EncMeanI: 0.8e-3, EncMeanP: 0.4e-3,
-		TxMeanI: 1.6e-3, TxMeanP: 0.7e-3,
-		PS: 0.93, LambdaB: 900,
-	}
-	ref := base
-	ref.MaxErlangOrder = 64
-	refRes, err := analytic.SolveQueue(arr, ref)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, order := range []int{4, 8, 16, 32, 64} {
-		order := order
-		b.Run(benchName("order", order), func(b *testing.B) {
-			sp := base
-			sp.MaxErlangOrder = order
-			var last analytic.QueueResult
-			for i := 0; i < b.N; i++ {
-				last, err = analytic.SolveQueue(arr, sp)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			drift := (last.MeanWait - refRes.MeanWait) / refRes.MeanWait
-			b.ReportMetric(drift*100, "%driftEW")
-			b.ReportMetric(float64(last.Phases), "phases")
-		})
-	}
-}
 
 // BenchmarkAblationDistortionDP compares the reference-distance dynamic
 // program against a Monte-Carlo evaluation of the same GOP chain: the DP

@@ -1,10 +1,10 @@
 // Package analytic implements the paper's mathematical framework (Section
 // 4): the 2-state Markov-modulated Poisson arrival process that models
-// I-frame bursts and P-frame singletons, phase-type service-time models
-// built from the encryption/backoff/transmission components of Eq. (3), an
-// exact matrix-geometric (QBD) solver for the resulting 2-MMPP/PH/1 sender
-// queue (the numerical engine behind the mean-delay expression of Eq. 19),
-// and the eavesdropper distortion model of Eqs. (20)-(28).
+// I-frame bursts and P-frame singletons, the service-time moments and
+// Laplace-Stieltjes transform built from the encryption/backoff/
+// transmission components of Eq. (3), the Heffes-Lucantoni solve of the
+// resulting 2-MMPP/G/1 sender queue (the mean delay of Eq. 19), and the
+// eavesdropper distortion model of Eqs. (20)-(28).
 //
 // Terminology follows the paper: an encryption policy P determines which
 // packets are encrypted; the framework predicts (i) the mean per-packet
@@ -14,9 +14,9 @@
 // Equation index — where each numbered equation of the paper lives in
 // this package:
 //
-//	Eq. (1)  R, Λ of the 2-MMPP                    MMPP2.Generator, MMPP2.RateMatrix
+//	Eq. (1)  R, Λ of the 2-MMPP                    MMPP2 (P1, P2, Lambda1, Lambda2)
 //	Eq. (2)  equilibrium vector π                  MMPP2.Stationary
-//	Eq. (3)  service decomposition T=Te+Tb+Tt      ServiceParams (moments, LST, PH)
+//	Eq. (3)  service decomposition T=Te+Tb+Tt      ServiceParams (moments, LST)
 //	Eq. (4)  encryption-time mixture               ServiceParams.encMoments / lstEnc
 //	Eq. (5)  LST of Te                             ServiceParams.lstEnc
 //	Eq. (6)  geometric collision count             stats.RNG.Geometric (sampling),
@@ -28,10 +28,13 @@
 //	Eq. (12) constant encryption LST               lstEnc with zero sigmas (tested)
 //	Eq. (14) constant transmission LST             lstTx with zero sigmas (tested)
 //	Eq. (15-16) Gaussian variation model           ServiceParams sigma fields
-//	Eq. (17-18) Gaussian LSTs                      gaussLST via lstEnc/lstTx
-//	Eq. (19) mean queueing delay E[W]              SolveQueue (QBD engine; equals
-//	                                               Pollaczek-Khinchine in the Poisson
-//	                                               limit, asserted by tests)
+//	Eq. (17-18) Gaussian LSTs                      gaussLST via lstEnc/lstTx (truncated
+//	                                               at zero so it stays a valid LST)
+//	Eq. (19) mean queueing delay E[W]              SolveQueue: 2x2 first-passage matrix
+//	                                               G by iteration, then E[W] from the
+//	                                               derivatives of the waiting-time
+//	                                               transform (solve2); Pollaczek-
+//	                                               Khinchine in the Poisson limit
 //	Eq. (20) frame success rate                    FrameSuccess
 //	Eq. (21) intra-GOP distortion ramp             IntraGOPDistortion
 //	Eq. (22) first-loss position probabilities     DistortionModel.ExpectedDistortion

@@ -50,12 +50,59 @@ func TestLSTBackoffClosedForm(t *testing.T) {
 			t.Fatalf("Hb(%v) = %v want %v", s, sp.lstBackoff(s), want)
 		}
 	}
-	// The condition s < ps*lambdaB of Eq. (7) guards the two-sided
-	// transform; for the right half-plane evaluation used here the form
-	// stays finite and in (0, 1].
+	// The transform is finite for s > -ps*lambdaB, its pole; on the right
+	// half-line used here it stays in (0, 1].
 	if v := sp.lstBackoff(5000); v <= 0 || v > 1 {
 		t.Fatalf("Hb out of range: %v", v)
 	}
+}
+
+// gaussLST is the LST of the zero-truncated Gaussian: 1 at s = 0,
+// decreasing, in (0, 1] far past 2mu/sigma^2 where the paper's untruncated
+// form exceeds 1, and equal to the transform of the truncated density by
+// quadrature, on both sides of its asymptotic-series switch (t = 26, at
+// s ~ 1.9e5 for the first law).
+func TestGaussLSTTruncated(t *testing.T) {
+	for _, law := range [][2]float64{{0.4e-3, 0.2e-3}, {1e-3, 0.1e-3}, {0.3e-3, 0.3e-3}} {
+		mu, sigma := law[0], law[1]
+		if v := gaussLST(0, mu, sigma); !near(v, 1, 1e-15) {
+			t.Fatalf("mu=%v sigma=%v: LST(0) = %v", mu, sigma, v)
+		}
+		edge := 2 * mu / (sigma * sigma)
+		prev := 1.0
+		for s := edge / 64; s <= 1e3*edge; s *= 1.25 {
+			v := gaussLST(s, mu, sigma)
+			if !(v > 0 && v <= 1 && v < prev) {
+				t.Fatalf("mu=%v sigma=%v: LST(%g) = %v after %v", mu, sigma, s, v, prev)
+			}
+			prev = v
+		}
+		for _, s := range []float64{edge / 4, 4 * edge, 1.8e5, 2e5, 5e5} {
+			if v, want := gaussLST(s, mu, sigma), truncGaussLSTQuad(s, mu, sigma); !relNear(v, want, 1e-8) {
+				t.Fatalf("mu=%v sigma=%v: LST(%g) = %v, quadrature %v", mu, sigma, s, v, want)
+			}
+		}
+	}
+	if v := gaussLST(3e3, 0.5e-3, 0); !near(v, math.Exp(-1.5), 1e-15) {
+		t.Fatalf("deterministic LST = %v", v)
+	}
+}
+
+// truncGaussLSTQuad integrates e^(-sx) against the N(mu, sigma^2) density
+// truncated to x > 0 by composite Simpson.
+func truncGaussLSTQuad(s, mu, sigma float64) float64 {
+	simpson := func(f func(float64) float64, hi float64) float64 {
+		const n = 40000
+		step := hi / n
+		sum := f(0) + f(hi)
+		for i := 1; i < n; i++ {
+			sum += float64(2+2*(i%2)) * f(float64(i)*step)
+		}
+		return sum * step / 3
+	}
+	density := func(x float64) float64 { return math.Exp(-(x - mu) * (x - mu) / (2 * sigma * sigma)) }
+	num := simpson(func(x float64) float64 { return math.Exp(-s*x) * density(x) }, math.Min(mu+12*sigma, 80/s))
+	return num / simpson(density, mu+12*sigma)
 }
 
 // LSTs are completely monotone; at minimum they must be decreasing in s.

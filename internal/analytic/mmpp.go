@@ -27,22 +27,6 @@ func (m MMPP2) Validate() error {
 	return nil
 }
 
-// Generator returns the infinitesimal generator R of Eq. (1).
-func (m MMPP2) Generator() *stats.Matrix {
-	return stats.MatrixFromRows([][]float64{
-		{-m.P1, m.P1},
-		{m.P2, -m.P2},
-	})
-}
-
-// RateMatrix returns the diagonal rate matrix Lambda of Eq. (1).
-func (m MMPP2) RateMatrix() *stats.Matrix {
-	return stats.MatrixFromRows([][]float64{
-		{m.Lambda1, 0},
-		{0, m.Lambda2},
-	})
-}
-
 // Stationary returns the equilibrium probability vector pi of Eq. (2):
 // pi = (p2, p1)/(p1+p2).
 func (m MMPP2) Stationary() [2]float64 {
@@ -69,19 +53,6 @@ func (m MMPP2) IFramePacketFraction() float64 {
 	}
 	return num / den
 }
-
-// D0 returns the MAP "no-arrival" matrix D0 = R - Lambda, and D1 the
-// arrival matrix Lambda. Together they express the MMPP as a Markovian
-// arrival process, the form the QBD solver consumes.
-func (m MMPP2) D0() *stats.Matrix {
-	return stats.MatrixFromRows([][]float64{
-		{-m.P1 - m.Lambda1, m.P1},
-		{m.P2, -m.P2 - m.Lambda2},
-	})
-}
-
-// D1 returns the MAP arrival-rate matrix (diagonal Lambda).
-func (m MMPP2) D1() *stats.Matrix { return m.RateMatrix() }
 
 // ArrivalSample is one observed packet arrival used for model calibration:
 // its timestamp (seconds) and whether it belongs to an I-frame.

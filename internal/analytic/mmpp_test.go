@@ -35,21 +35,6 @@ func TestMMPPValidate(t *testing.T) {
 	}
 }
 
-func TestMMPPGeneratorRowSums(t *testing.T) {
-	m := MMPP2{P1: 2.5, P2: 0.5, Lambda1: 9, Lambda2: 1}
-	g := m.Generator()
-	for i := 0; i < 2; i++ {
-		if s := g.At(i, 0) + g.At(i, 1); !near(s, 0, 1e-12) {
-			t.Fatalf("generator row %d sums to %v", i, s)
-		}
-	}
-	// D0 + D1 must equal the generator.
-	d := m.D0().Add(m.D1())
-	if d.MaxAbsDiff(g) > 1e-12 {
-		t.Fatal("D0 + D1 != R")
-	}
-}
-
 func TestMMPPIFrameFraction(t *testing.T) {
 	m := MMPP2{P1: 10, P2: 10, Lambda1: 900, Lambda2: 100}
 	// Equal state occupancy; arrivals weighted 9:1.

@@ -3,8 +3,6 @@ package analytic
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
 )
 
 // ServiceParams describes the per-packet service time of Eq. (3),
@@ -40,10 +38,6 @@ type ServiceParams struct {
 	// the backoff rate of Eq. (6)-(7): a packet waits a geometric number of
 	// exponential(LambdaB) intervals, zero with probability PS.
 	PS, LambdaB float64
-
-	// MaxErlangOrder caps the phase count used to represent each
-	// low-variance component (0 selects DefaultMaxErlangOrder).
-	MaxErlangOrder int
 }
 
 // Validate reports whether the parameters are usable.
@@ -124,14 +118,39 @@ func (sp ServiceParams) Mean() float64 {
 // LST evaluates the service-time Laplace-Stieltjes transform of Eq. (10)
 // at real s: H(s) = He(s) * Hb(s) * Ht(s), with the Gaussian-variation
 // component transforms of Eqs. (17) and (18) and the backoff transform of
-// Eq. (7). Only valid for s < PS*LambdaB (the backoff transform's
-// abscissa), matching the paper's s < lambda_b condition.
+// Eq. (7). Valid for s > -PS*LambdaB, the backoff transform's pole.
 func (sp ServiceParams) LST(s float64) float64 {
 	return sp.lstEnc(s) * sp.lstBackoff(s) * sp.lstTx(s)
 }
 
+// gaussLST is the LST of the Gaussian variation model of Eqs. (17)-(18)
+// truncated at zero, the law internal/queuesim samples:
+//
+//	exp(-mu s + sigma² s²/2) * Phi(mu/sigma - sigma s) / Phi(mu/sigma).
+//
+// The paper's untruncated form exp(-mu s + sigma² s²/2) exceeds 1 once
+// s > 2mu/sigma², which the G iteration of SolveQueue reaches for slow
+// ciphers under bursty arrivals. With m = mu/(sigma√2) and
+// t = sigma s/√2 - m, Phi(mu/sigma - sigma s) = erfc(t)/2.
 func gaussLST(s, mu, sigma float64) float64 {
-	return math.Exp(-mu*s + 0.5*sigma*sigma*s*s)
+	if sigma <= 0 {
+		return math.Exp(-mu * s)
+	}
+	m := mu / (sigma * math.Sqrt2)
+	t := sigma*s/math.Sqrt2 - m
+	if t < 26 {
+		return math.Exp(-mu*s+0.5*sigma*sigma*s*s) * math.Erfc(t) / math.Erfc(-m)
+	}
+	// erfc(t) underflows from t ≈ 26.5 on; since -mu s + sigma² s²/2 =
+	// t² - m², carry exp(t²) erfc(t) by its asymptotic series instead
+	// (relative error below 1e-12 here).
+	u := 1 / (2 * t * t)
+	sum, term := 1.0, 1.0
+	for n := 1; n <= 5; n++ {
+		term *= -float64(2*n-1) * u
+		sum += term
+	}
+	return math.Exp(-m*m) * sum / (t * math.SqrtPi) / math.Erfc(-m)
 }
 
 // lstEnc is Eq. (17) generalised to per-class selection probabilities; the
@@ -157,55 +176,4 @@ func (sp ServiceParams) lstBackoff(s float64) float64 {
 func (sp ServiceParams) lstTx(s float64) float64 {
 	return sp.PI*gaussLST(s, sp.TxMeanI, sp.TxSigmaI) +
 		(1-sp.PI)*gaussLST(s, sp.TxMeanP, sp.TxSigmaP)
-}
-
-// PH constructs the phase-type representation of the service time: the
-// convolution of the three independent components, each component a
-// mixture fitted to its class moments. Gaussian variations are represented
-// by their first two moments (mixed-Erlang / hyperexponential fits); the
-// truncation error is bounded by the MaxErlangOrder setting.
-func (sp ServiceParams) PH() PH {
-	order := sp.MaxErlangOrder
-	if order <= 0 {
-		order = DefaultMaxErlangOrder
-	}
-	fit := func(mean, sigma float64) PH {
-		return PHFit2Moment(mean, sigma*sigma, order)
-	}
-	// Encryption component.
-	wI := sp.PI * sp.EncI
-	wP := (1 - sp.PI) * sp.EncP
-	var enc PH
-	switch {
-	case stats.NearZero(wI) && stats.NearZero(wP):
-		enc = PHZero()
-	case sp.EncMeanI <= 0 && sp.EncMeanP <= 0:
-		enc = PHZero()
-	default:
-		comps := []PH{PHZero(), PHZero(), PHZero()}
-		if wI > 0 && sp.EncMeanI > 0 {
-			comps[0] = fit(sp.EncMeanI, sp.EncSigmaI)
-		}
-		if wP > 0 && sp.EncMeanP > 0 {
-			comps[1] = fit(sp.EncMeanP, sp.EncSigmaP)
-		}
-		enc = Mixture([]float64{wI, wP, 1 - wI - wP}, comps)
-	}
-	// Backoff component: atom at zero w.p. ps, else Exp(ps*lambdaB).
-	var backoff PH
-	if sp.PS >= 1 {
-		backoff = PHZero()
-	} else {
-		rate := sp.PS * sp.LambdaB
-		b := PHExponential(rate)
-		b.Alpha[0] = 1 - sp.PS
-		b.Mass0 = sp.PS
-		backoff = b
-	}
-	// Transmission component.
-	tx := Mixture(
-		[]float64{sp.PI, 1 - sp.PI},
-		[]PH{fit(sp.TxMeanI, sp.TxSigmaI), fit(sp.TxMeanP, sp.TxSigmaP)},
-	)
-	return ConvolveAll(enc, backoff, tx).Compress()
 }

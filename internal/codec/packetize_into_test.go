@@ -215,7 +215,9 @@ func TestBufPoolPutHardening(t *testing.T) {
 	if a == b {
 		t.Fatal("double Put inserted the buffer twice")
 	}
-	if a != buf && b != buf {
+	// sync.Pool drops items at random under -race, so only a normal
+	// build can require that the Put buffer comes back.
+	if !raceEnabled && a != buf && b != buf {
 		t.Fatal("first Put never reached the pool")
 	}
 

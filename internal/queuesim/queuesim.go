@@ -39,10 +39,10 @@ type Options struct {
 	// encryption/transmission time class) is chosen. The paper's analysis
 	// (Eqs. 4, 8) treats the class as i.i.d. with probability p_I,
 	// independent of the arrival phase; with ClassCorrelated=false the
-	// simulator does the same, giving a tight validation of the QBD
-	// solver. With ClassCorrelated=true the class follows the actual MMPP
-	// state (I packets arrive in bursts with their longer service
-	// back-to-back), the physically faithful behaviour of the testbed;
+	// simulator does the same, giving a tight validation of
+	// analytic.SolveQueue. With ClassCorrelated=true the class follows
+	// the actual MMPP state (I packets arrive in bursts with their longer
+	// service back-to-back), the physically faithful behaviour of the testbed;
 	// the difference between the two quantifies the independence
 	// approximation baked into the paper's model
 	// (BenchmarkAblationClassCorrelation).

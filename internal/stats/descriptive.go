@@ -1,3 +1,9 @@
+// Package stats provides the small numerical toolbox shared by the
+// analytical framework and the experiment harnesses: polynomial
+// least-squares regression, descriptive statistics with confidence
+// intervals, and deterministic pseudo-random helpers.
+//
+// Everything here is intentionally self-contained (stdlib only).
 package stats
 
 import (

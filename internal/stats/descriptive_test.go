@@ -7,11 +7,11 @@ import (
 
 func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); !almostEqual(m, 5, 1e-12) {
+	if m := Mean(xs); !ApproxEqual(m, 5, 1e-12) {
 		t.Fatalf("Mean = %v want 5", m)
 	}
 	// Sample variance with n-1: sum of squared dev = 32, /7.
-	if v := Variance(xs); !almostEqual(v, 32.0/7, 1e-12) {
+	if v := Variance(xs); !ApproxEqual(v, 32.0/7, 1e-12) {
 		t.Fatalf("Variance = %v want %v", v, 32.0/7)
 	}
 }
@@ -24,10 +24,10 @@ func TestMeanEmpty(t *testing.T) {
 
 func TestMoment(t *testing.T) {
 	xs := []float64{1, 2, 3}
-	if m := Moment(xs, 2); !almostEqual(m, (1.0+4+9)/3, 1e-12) {
+	if m := Moment(xs, 2); !ApproxEqual(m, (1.0+4+9)/3, 1e-12) {
 		t.Fatalf("second moment = %v", m)
 	}
-	if m := Moment(xs, 1); !almostEqual(m, 2, 1e-12) {
+	if m := Moment(xs, 1); !ApproxEqual(m, 2, 1e-12) {
 		t.Fatalf("first moment = %v", m)
 	}
 }
@@ -41,7 +41,7 @@ func TestMinMax(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	if p := Percentile(xs, 0.5); !almostEqual(p, 3, 1e-12) {
+	if p := Percentile(xs, 0.5); !ApproxEqual(p, 3, 1e-12) {
 		t.Fatalf("median = %v", p)
 	}
 	if p := Percentile(xs, 0); p != 1 {
@@ -50,7 +50,7 @@ func TestPercentile(t *testing.T) {
 	if p := Percentile(xs, 1); p != 5 {
 		t.Fatalf("p100 = %v", p)
 	}
-	if p := Percentile(xs, 0.25); !almostEqual(p, 2, 1e-12) {
+	if p := Percentile(xs, 0.25); !ApproxEqual(p, 2, 1e-12) {
 		t.Fatalf("p25 = %v", p)
 	}
 }
@@ -67,7 +67,7 @@ func TestSummarize(t *testing.T) {
 	}
 	// Half width = t(19) * sd / sqrt(20)
 	want := 2.093 * s.StdDev / math.Sqrt(20)
-	if !almostEqual(s.CI95, want, 1e-12) {
+	if !ApproxEqual(s.CI95, want, 1e-12) {
 		t.Fatalf("CI95 = %v want %v", s.CI95, want)
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -54,8 +55,11 @@ func PolyFit(xs, ys []float64, degree int) (Polynomial, error) {
 	}
 	n := degree + 1
 	// Normal equations: (VᵀV) c = Vᵀy with V_{ij} = x_i^j.
-	ata := NewMatrix(n, n)
-	atb := make([]float64, n)
+	ata := make([][]float64, n)
+	for i := range ata {
+		ata[i] = make([]float64, n)
+	}
+	c := make([]float64, n)
 	pow := make([]float64, 2*degree+1)
 	for k := range xs {
 		x, y := xs[k], ys[k]
@@ -64,17 +68,51 @@ func PolyFit(xs, ys []float64, degree int) (Polynomial, error) {
 			pow[j] = pow[j-1] * x
 		}
 		for i := 0; i < n; i++ {
-			atb[i] += pow[i] * y
+			c[i] += pow[i] * y
 			for j := 0; j < n; j++ {
-				ata.Set(i, j, ata.At(i, j)+pow[i+j])
+				ata[i][j] += pow[i+j]
 			}
 		}
 	}
-	c, err := ata.Solve(atb)
-	if err != nil {
+	if err := solveInPlace(ata, c); err != nil {
 		return Polynomial{}, err
 	}
 	return Polynomial{Coeffs: c}, nil
+}
+
+// solveInPlace solves a*x = b by Gaussian elimination with partial
+// pivoting, overwriting a and leaving x in b.
+func solveInPlace(a [][]float64, b []float64) error {
+	n := len(b)
+	for col := 0; col < n; col++ {
+		pivot, pivotAbs := col, math.Abs(a[col][col])
+		for r := col + 1; r < n; r++ {
+			if v := math.Abs(a[r][col]); v > pivotAbs {
+				pivot, pivotAbs = r, v
+			}
+		}
+		if pivotAbs < 1e-300 {
+			return errors.New("stats: PolyFit normal equations are singular")
+		}
+		a[pivot], a[col] = a[col], a[pivot]
+		b[pivot], b[col] = b[col], b[pivot]
+		inv := 1 / a[col][col]
+		for r := col + 1; r < n; r++ {
+			f := a[r][col] * inv
+			for c := col + 1; c < n; c++ {
+				a[r][c] -= f * a[col][c]
+			}
+			b[r] -= f * b[col]
+		}
+	}
+	for r := n - 1; r >= 0; r-- {
+		s := b[r]
+		for c := r + 1; c < n; c++ {
+			s -= a[r][c] * b[c]
+		}
+		b[r] = s / a[r][r]
+	}
+	return nil
 }
 
 // RSquared returns the coefficient of determination of the fit p on the

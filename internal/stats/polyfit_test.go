@@ -19,11 +19,11 @@ func TestPolyFitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range truth.Coeffs {
-		if !almostEqual(p.Coeffs[i], truth.Coeffs[i], 1e-8) {
+		if !ApproxEqual(p.Coeffs[i], truth.Coeffs[i], 1e-8) {
 			t.Fatalf("coeff %d = %v want %v", i, p.Coeffs[i], truth.Coeffs[i])
 		}
 	}
-	if r2 := RSquared(p, xs, ys); !almostEqual(r2, 1, 1e-12) {
+	if r2 := RSquared(p, xs, ys); !ApproxEqual(r2, 1, 1e-12) {
 		t.Fatalf("R^2 = %v want 1", r2)
 	}
 }
@@ -40,7 +40,7 @@ func TestPolyFitDegree5(t *testing.T) {
 		t.Fatal(err)
 	}
 	for x := 1.0; x <= 5; x += 0.5 {
-		if !almostEqual(p.Eval(x), truth.Eval(x), 1e-6) {
+		if !ApproxEqual(p.Eval(x), truth.Eval(x), 1e-6) {
 			t.Fatalf("p(%v) = %v want %v", x, p.Eval(x), truth.Eval(x))
 		}
 	}
@@ -59,7 +59,7 @@ func TestLinearFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(a, 1, 1e-10) || !almostEqual(b, 2, 1e-10) {
+	if !ApproxEqual(a, 1, 1e-10) || !ApproxEqual(b, 2, 1e-10) {
 		t.Fatalf("fit = (%v, %v) want (1, 2)", a, b)
 	}
 }
@@ -104,5 +104,64 @@ func TestPolynomialEvalHorner(t *testing.T) {
 	}
 	if p.Degree() != 2 {
 		t.Fatalf("Degree = %d want 2", p.Degree())
+	}
+}
+
+func TestSolveKnownSystem(t *testing.T) {
+	a := [][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}}
+	x := []float64{8, -11, -3}
+	if err := solveInPlace(a, x); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{2, 3, -1}
+	for i := range want {
+		if !ApproxEqual(x[i], want[i], 1e-10) {
+			t.Fatalf("x[%d] = %v want %v", i, x[i], want[i])
+		}
+	}
+}
+
+func TestSolveSingular(t *testing.T) {
+	if err := solveInPlace([][]float64{{1, 2}, {2, 4}}, []float64{1, 2}); err == nil {
+		t.Fatal("expected a singular-system error")
+	}
+}
+
+// Property: for random well-conditioned matrices, solving A x = A*x0
+// recovers x0.
+func TestSolveRecoversProperty(t *testing.T) {
+	rng := NewRNG(42)
+	f := func(seed uint64) bool {
+		r := NewRNG(seed ^ rng.Uint64())
+		n := 2 + r.Intn(6)
+		a := make([][]float64, n)
+		x0 := make([]float64, n)
+		for i := range x0 {
+			x0[i] = r.Float64()*10 - 5
+		}
+		b := make([]float64, n)
+		for i := range a {
+			a[i] = make([]float64, n)
+			for j := range a[i] {
+				a[i][j] = r.Float64()*2 - 1
+			}
+			// Diagonal dominance keeps the system well conditioned.
+			a[i][i] += float64(n) + 1
+			for j, v := range a[i] {
+				b[i] += v * x0[j]
+			}
+		}
+		if err := solveInPlace(a, b); err != nil {
+			return false
+		}
+		for i := range x0 {
+			if !ApproxEqual(b[i], x0[i], 1e-8) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -293,12 +293,12 @@ var mutants = []mutant{
 	// --- cryptorand / seededrand: randomness hygiene ---
 	{
 		ID: "cryptorand-mathrand", Analyzer: cryptorand.Analyzer,
-		File: "internal/vcrypt/handshake.go",
+		File: "internal/vcrypt/policy.go",
 		Patches: []patch{
-			{Old: "\t\"crypto/rand\"", New: "\trand \"math/rand\""},
-			{Old: "\t\trng = rand.Reader", New: "\t\trng = rand.New(rand.NewSource(1))"},
+			{Old: "import (\n\t\"fmt\"\n)", New: "import (\n\t\"fmt\"\n\t\"math/rand\"\n)"},
+			{Old: "\treturn s.step(&s.accP, encP)", New: "\treturn rand.Float64() < encP"},
 		},
-		Desc:  "handshake key material falls back to math/rand",
+		Desc:  "P-frame packet selection samples math/rand inside the crypto layer",
 		Quick: true,
 	},
 	{

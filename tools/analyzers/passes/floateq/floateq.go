@@ -1,6 +1,6 @@
 // Package floateq flags == and != between floating-point operands in
 // the numerical packages (internal/analytic, internal/stats). The
-// QBD/MMPP solvers and fitting routines iterate to convergence; an
+// queue and MMPP solvers and fitting routines iterate to convergence; an
 // exact float comparison in a convergence or degenerate-case check
 // either never fires (cv² == 1 after arithmetic) or fires one
 // iteration late, and the resulting model drift is invisible until the
