@@ -145,9 +145,31 @@ func SliceMBs(payload []byte) (mbStart int, chunks [][]byte, err error) {
 // leaving nil chunks where slices never arrived (lost or, at the
 // eavesdropper, encrypted). It is the receive-side counterpart of
 // Packetize.
+//
+// It holds only what arrived: per frame, the type and the slices in
+// arrival order. Frame and Frames build EncodedFrame views from them on
+// demand, so a frame costs its payload bytes rather than a slice header
+// for every macroblock of the picture.
 type Reassembler struct {
 	cfg    Config
-	frames map[int]*EncodedFrame
+	frames map[int]heldFrame
+}
+
+// heldFrame is what arrived of one frame: the type of its first slice
+// and the slices themselves, in arrival order.
+type heldFrame struct {
+	typ    FrameType
+	slices []heldSlice
+}
+
+// heldSlice is one arrived slice covering macroblocks
+// [start, start+count). body is its wire bytes from the first-macroblock
+// varint on (mbStart | mbCount | (len | bytes)*mbCount), the one copy
+// Add makes; replay parses it again so that every write into a view
+// carries a local bounds proof.
+type heldSlice struct {
+	start, count int
+	body         []byte
 }
 
 // NewReassembler returns a reassembler for streams encoded with cfg.
@@ -155,7 +177,7 @@ func NewReassembler(cfg Config) (*Reassembler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Reassembler{cfg: cfg, frames: make(map[int]*EncodedFrame)}, nil
+	return &Reassembler{cfg: cfg, frames: make(map[int]heldFrame)}, nil
 }
 
 // Add incorporates one received slice payload. Damaged payloads are
@@ -163,11 +185,12 @@ func NewReassembler(cfg Config) (*Reassembler, error) {
 //
 // Add copies the payload exactly once. It first walks and validates
 // every chunk in place, so a damaged payload leaves the frame
-// untouched; then it copies the chunk section into one buffer and points
-// the frame's MBData entries into it. Each entry's capacity equals its
-// length, so appending to one chunk can never overwrite the next, and a
-// zero-length chunk stays nil (the decoder's "lost" marker). The caller
-// may reuse payload as soon as Add returns.
+// untouched; then it copies the slice into one buffer and holds it. A
+// held slice whose range the new one covers can no longer show in any
+// view, so Add drops it; should overlapping slices still outnumber the
+// frame's macroblocks, the frame is compacted into a single slice, which
+// bounds what a frame holds whatever is resent. The caller may reuse
+// payload as soon as Add returns.
 func (r *Reassembler) Add(payload []byte) error {
 	// Header: frame number, frame type, first macroblock, chunk count.
 	rest := payload
@@ -187,6 +210,7 @@ func (r *Reassembler) Add(payload []byte) error {
 	if ft > uint64(BFrame) {
 		return fmt.Errorf("codec: bad frame type %d", ft)
 	}
+	body := rest
 	ms, ok2 := next()
 	mc, ok3 := next()
 	if !ok2 || !ok3 {
@@ -198,7 +222,6 @@ func (r *Reassembler) Add(payload []byte) error {
 	if mc > 1<<20 {
 		return fmt.Errorf("codec: implausible slice size %d", mc)
 	}
-	section := rest
 	for i := uint64(0); i < mc; i++ {
 		l, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -210,60 +233,115 @@ func (r *Reassembler) Add(payload []byte) error {
 		}
 		rest = rest[l:]
 	}
-	section = section[:len(section)-len(rest)]
-	mbStart, count := int(ms), int(mc)
+	body = body[:len(body)-len(rest)]
+	start, count := int(ms), int(mc)
 	total := r.cfg.MBCols() * r.cfg.MBRows()
-	if count > total || mbStart > total-count {
-		return fmt.Errorf("codec: slice range [%d,%d) exceeds %d macroblocks", mbStart, mbStart+count, total)
+	if count > total || start > total-count {
+		return fmt.Errorf("codec: slice range [%d,%d) exceeds %d macroblocks", start, start+count, total)
 	}
-	f := r.frames[int(fn)]
-	if f == nil {
-		f = &EncodedFrame{Number: int(fn), Type: FrameType(ft), MBData: make([][]byte, total)}
-		r.frames[int(fn)] = f
+	f, held := r.frames[int(fn)]
+	if !held {
+		f.typ = FrameType(ft)
 	}
-	buf := make([]byte, len(section))
-	copy(buf, section)
-	// The walk above validated these bytes and cut the section to end
-	// exactly after the last chunk, so walking the copy to its end visits
-	// each chunk once. The guards are repeated on the copy to keep every
-	// bounds proof local (the netbound gate verifies them).
-	rest = buf
-	for j := mbStart; len(rest) > 0; j++ {
-		l, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return fmt.Errorf("codec: bad varint in slice")
+	if count > 0 {
+		if f.slices == nil {
+			// Slices of one frame are about equally large, so the
+			// first one predicts how many will follow. The guess is
+			// capped by the slice's own length, so a tiny slice cannot
+			// reserve a long list.
+			f.slices = make([]heldSlice, 0, min((total+count-1)/count, len(body)))
 		}
-		rest = rest[n:]
-		if uint64(len(rest)) < l {
-			return fmt.Errorf("codec: slice truncated")
+		kept := f.slices[:0]
+		for _, s := range f.slices {
+			if s.start < start || s.start+s.count > start+count {
+				kept = append(kept, s)
+			}
 		}
-		// The range check above already constrains the chunks against
-		// total, but total and len(f.MBData) are only equal while every
-		// frame of the session was built by this reassembler;
-		// re-checking against the destination itself keeps the write in
-		// bounds under any future refactor.
-		if j >= len(f.MBData) {
-			return fmt.Errorf("codec: slice chunk %d lands outside %d macroblocks", j, len(f.MBData))
+		clear(f.slices[len(kept):]) // let the dropped bodies be collected
+		f.slices = append(kept, heldSlice{start: start, count: count, body: append([]byte(nil), body...)})
+		if len(f.slices) > total {
+			f.compact(total)
 		}
-		f.MBData[j] = nil
-		if l > 0 {
-			f.MBData[j] = rest[:l:l]
-		}
-		rest = rest[l:]
 	}
+	r.frames[int(fn)] = f
 	return nil
 }
 
-// Frame returns the (possibly partial) frame n, or nil if nothing of it
-// arrived.
-func (r *Reassembler) Frame(n int) *EncodedFrame { return r.frames[n] }
+// view builds frame n's EncodedFrame from the held slices. The view
+// shares the held bytes, which are never written again, so later Adds
+// do not change it.
+func (f heldFrame) view(n, total int) *EncodedFrame {
+	ef := &EncodedFrame{Number: n, Type: f.typ, MBData: make([][]byte, total)}
+	for _, s := range f.slices {
+		replay(ef.MBData, s.body)
+	}
+	return ef
+}
 
-// Frames returns the first total frames in order; entries are nil for
-// frames of which nothing arrived.
+// replay writes one held slice body into mb. Replaying a frame's slices
+// in arrival order lets the last write to a macroblock win, and a
+// zero-length chunk stays nil (the decoder's "lost" marker). Each chunk
+// keeps its capacity equal to its length, so appending to one chunk can
+// never overwrite the next.
+func replay(mb [][]byte, body []byte) {
+	// Add validated the body, so these walks always succeed. The guards
+	// are repeated here to keep every bounds proof local (the netbound
+	// gate verifies them).
+	ms, n := binary.Uvarint(body)
+	if n <= 0 || ms > 1<<20 {
+		return
+	}
+	rest := body[n:]
+	if _, n = binary.Uvarint(rest); n <= 0 {
+		return
+	}
+	rest = rest[n:]
+	for j := int(ms); len(rest) > 0; j++ {
+		l, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return
+		}
+		rest = rest[n:]
+		if uint64(len(rest)) < l {
+			return
+		}
+		if j >= len(mb) {
+			return
+		}
+		mb[j] = nil
+		if l > 0 {
+			mb[j] = rest[:l:l]
+		}
+		rest = rest[l:]
+	}
+}
+
+// compact replaces the held slices by one slice over [0,total) that
+// encodes the frame's current view, unheld macroblocks as empty chunks.
+func (f *heldFrame) compact(total int) {
+	ef := f.view(0, total)
+	wire := AppendSlice(make([]byte, 0, sliceLen(ef, 0, total)), ef, 0, total)
+	hdr := uvarintLen(uint64(ef.Number)) + uvarintLen(uint64(ef.Type))
+	f.slices = []heldSlice{{start: 0, count: total, body: wire[hdr:]}}
+}
+
+// Frame returns a snapshot of the (possibly partial) frame n, or nil if
+// nothing of it arrived. Later Adds do not change a returned snapshot.
+func (r *Reassembler) Frame(n int) *EncodedFrame {
+	f, ok := r.frames[n]
+	if !ok {
+		return nil
+	}
+	return f.view(n, r.cfg.MBCols()*r.cfg.MBRows())
+}
+
+// Frames returns snapshots of the first total frames in order; entries
+// are nil for frames of which nothing arrived. Later Adds do not change
+// the returned frames.
 func (r *Reassembler) Frames(total int) []*EncodedFrame {
 	out := make([]*EncodedFrame, total)
 	for i := range out {
-		out[i] = r.frames[i]
+		out[i] = r.Frame(i)
 	}
 	return out
 }

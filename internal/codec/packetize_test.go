@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -327,5 +329,106 @@ func TestReassemblerAddAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("Add allocates %.1f times per packet, want at most 1", allocs)
+	}
+}
+
+// TestReassemblerOverlappingAdds replays 10k slices over random,
+// overlapping ranges of a few frames, resends included. After every Add
+// no frame may hold more slices than it has macroblocks, and the views
+// must equal what the reference algorithm leaves.
+func TestReassemblerOverlappingAdds(t *testing.T) {
+	cfg := smallConfig(6)
+	total := cfg.MBCols() * cfg.MBRows()
+	re, _ := NewReassembler(cfg)
+	ref := map[int]*EncodedFrame{}
+	rng := rand.New(rand.NewSource(7))
+	src := &EncodedFrame{MBData: make([][]byte, total)}
+	compacted := false
+	for i := 0; i < 10000; i++ {
+		src.Number, src.Type = rng.Intn(3), FrameType(rng.Intn(3))
+		start := rng.Intn(total)
+		count := 1 + rng.Intn(min(total-start, 6))
+		if rng.Intn(50) == 0 {
+			start, count = 0, total
+		}
+		for j := start; j < start+count; j++ {
+			src.MBData[j] = src.MBData[j][:0]
+			for k := rng.Intn(4); k > 0; k-- {
+				src.MBData[j] = append(src.MBData[j], byte(i), byte(k))
+			}
+		}
+		payload := AppendSlice(nil, src, start, count)
+		before := len(re.frames[src.Number].slices)
+		if err := re.Add(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := refAdd(ref, total, payload); err != nil {
+			t.Fatal(err)
+		}
+		held := len(re.frames[src.Number].slices)
+		if held > total {
+			t.Fatalf("Add %d: frame %d holds %d slices, more than its %d macroblocks", i, src.Number, held, total)
+		}
+		compacted = compacted || (before == total && held == 1 && count < total)
+		if err := sameFrames(re, ref); err != nil {
+			t.Fatalf("Add %d: %v", i, err)
+		}
+	}
+	if !compacted {
+		t.Fatal("no frame was compacted; the test does not reach the bound")
+	}
+}
+
+// TestReassemblerRetainsPayload bounds what a reassembler holding a
+// whole clip (300 CIF frames) keeps on the heap against the clip's wire
+// payload: the slices that arrived, not a slice header per macroblock
+// for every frame.
+func TestReassemblerRetainsPayload(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("encodes a 300-frame CIF clip (about 20 s under -race)")
+	}
+	cfg := DefaultConfig(30)
+	clip := video.Generate(video.SceneConfig{
+		W: video.CIFWidth, H: video.CIFHeight, Frames: 300,
+		Motion: video.MotionMedium, Seed: 9,
+	})
+	encoded, err := EncodeSequence(clip, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clip = nil
+	var payloads [][]byte
+	wire := 0
+	for _, ef := range encoded {
+		pkts, err := Packetize(ef, testMTU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkts {
+			payloads = append(payloads, p.Payload)
+			wire += len(p.Payload)
+		}
+	}
+	heap := func() uint64 {
+		// Two collections: the first only moves sync.Pool contents to
+		// the victim cache.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	re, _ := NewReassembler(cfg)
+	for _, p := range payloads {
+		if err := re.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retained := float64(heap()) - float64(base)
+	runtime.KeepAlive(re)
+	runtime.KeepAlive(payloads)
+	if ratio := retained / float64(wire); ratio > 1.5 {
+		t.Fatalf("reassembler retains %.0f B for %d B of wire payload (%.2fx), want at most 1.5x", retained, wire, ratio)
 	}
 }

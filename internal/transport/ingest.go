@@ -463,7 +463,8 @@ func (s *IngestServer) SessionStats(ssrc uint32) (IngestSessionStats, bool) {
 	return sess.stats, true
 }
 
-// SessionFrames returns one resident session's reassembled clip.
+// SessionFrames returns a snapshot of one resident session's
+// reassembled clip; packets the session receives later do not change it.
 func (s *IngestServer) SessionFrames(ssrc uint32, total int) []*codec.EncodedFrame {
 	sh := s.shard(ssrc)
 	sh.mu.Lock()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"testing"
@@ -394,5 +395,81 @@ func TestLoadgenBackpressure(t *testing.T) {
 	}
 	if rep.Completed < cfg.MaxSessions {
 		t.Fatalf("only %d clients completed under a cap of %d", rep.Completed, cfg.MaxSessions)
+	}
+}
+
+// SessionFrames returns snapshots: a caller may read every chunk while
+// the same session keeps receiving packets for the frames it holds. The
+// second pass resends the whole clip under fresh sequence numbers, so
+// each of its packets is usable and rewrites macroblocks the snapshots
+// already show; run under -race this checks that no Add touches them.
+func TestIngestSessionFramesAreSnapshots(t *testing.T) {
+	pol := vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: vcrypt.AES256}
+	s, _ := testSession(t, video.MotionLow, pol)
+	srv, err := NewIngestServer(ingestTestConfig(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	first, err := buildSegments(s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := buildSegments(s, uint64(len(first)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const ssrc = 0x5A17
+	buf := make([]byte, rtp.HeaderSize+s.MTU+64)
+	send := func(segs []wireSegment, want int) {
+		for i, seg := range segs {
+			sendSeg(t, conn, buf, ssrc, seg)
+			if i%64 == 63 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		waitFor(t, 5*time.Second, func() bool {
+			st, ok := srv.SessionStats(ssrc)
+			return ok && st.Usable == want
+		}, "every segment to land")
+	}
+	send(first, len(first))
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, ef := range srv.SessionFrames(ssrc, len(s.Encoded)) {
+				if ef == nil {
+					continue
+				}
+				for _, mb := range ef.MBData {
+					_ = bytes.Clone(mb)
+				}
+			}
+		}
+	}()
+	send(second, len(first)+len(second))
+	close(stop)
+	<-done
+
+	got := srv.SessionFrames(ssrc, len(s.Encoded))
+	for i, want := range s.Encoded {
+		for j, mb := range want.MBData {
+			if !bytes.Equal(got[i].MBData[j], mb) {
+				t.Fatalf("frame %d macroblock %d differs after the resend", i, j)
+			}
+		}
 	}
 }

@@ -329,7 +329,8 @@ func (s *HTTPUploadServer) DuplicateSegments() int {
 	return s.dups
 }
 
-// Frames returns the reassembled clip.
+// Frames returns a snapshot of the reassembled clip; segments that
+// arrive later do not change it.
 func (s *HTTPUploadServer) Frames(total int) []*codec.EncodedFrame {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -379,8 +380,9 @@ func (s *HTTPUploadServer) SessionDuplicates(id string) int {
 	return sess.dups
 }
 
-// SessionFrames returns the given session's reassembled clip (nil for a
-// named session that never uploaded).
+// SessionFrames returns a snapshot of the given session's reassembled
+// clip (nil for a named session that never uploaded); segments that
+// arrive later do not change it.
 func (s *HTTPUploadServer) SessionFrames(id string, total int) []*codec.EncodedFrame {
 	sess := s.peek(id)
 	if sess == nil {

@@ -506,7 +506,8 @@ func (r *LiveReceiver) WaitForPackets(n int, timeout time.Duration) error {
 	return nil
 }
 
-// Frames returns the reassembled (possibly partial) encoded frames.
+// Frames returns a snapshot of the reassembled (possibly partial)
+// encoded frames; packets that arrive later do not change it.
 func (r *LiveReceiver) Frames(total int) []*codec.EncodedFrame {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -316,10 +316,10 @@ var mutants = []mutant{
 		ID: "netbound-reasm-unchecked", Analyzer: netbound.Analyzer,
 		File: "internal/codec/packetize.go",
 		Patches: []patch{{
-			Old: "\t\tif j >= len(f.MBData) {\n\t\t\treturn fmt.Errorf(\"codec: slice chunk %d lands outside %d macroblocks\", j, len(f.MBData))\n\t\t}\n",
+			Old: "\t\tif j >= len(mb) {\n\t\t\treturn\n\t\t}\n",
 			New: "",
 		}},
-		Desc: "the reassembler indexes its frame buffer with a wire-decoded offset and no local bounds proof",
+		Desc: "the reassembler's view builder indexes the frame's macroblocks with a wire-decoded offset and no local bounds proof",
 	},
 	{
 		ID: "netbound-segment-alloc", Analyzer: netbound.Analyzer,
@@ -356,7 +356,7 @@ var mutants = []mutant{
 			Old: "\t\trest = rest[n:]\n\t\tif uint64(len(rest)) < l {\n\t\t\treturn fmt.Errorf(\"codec: slice truncated\")\n\t\t}\n\t\trest = rest[l:]",
 			New: "\t\trest = rest[n:]\n\t\trest = rest[l:]",
 		}},
-		Desc: "the reassembler's in-place chunk walk skips chunk bytes by a wire length with the truncation guard removed",
+		Desc: "the reassembler's in-place validation walk skips chunk bytes by a wire length with the truncation guard removed",
 	},
 
 	// --- seqwrap: no raw ordering arithmetic on wrapping counters ---
