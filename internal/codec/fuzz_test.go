@@ -161,8 +161,9 @@ func splitPayloads(data []byte) [][]byte {
 // go through Reassembler.Add and through refAdd in turn. Add must give
 // the same error (or none) for each payload, and the views Frame builds
 // must equal the reference frames, with the same nil and non-nil
-// chunks. No frame may hold more slices than it has macroblocks, and a
-// view taken earlier must not change under later Adds. Damaged payloads
+// chunks. No frame may hold more slices than it has macroblocks, the
+// live-byte counter must equal the held bodies' length and bound the
+// arena, and a view taken earlier must not change under later Adds. Damaged payloads
 // must come back as errors, never as panics or out-of-range writes.
 func FuzzReassembler(f *testing.F) {
 	cfg := fuzzConfig()
@@ -210,6 +211,9 @@ func FuzzReassembler(f *testing.F) {
 			}
 			if n := heldSlices(r); n > total {
 				t.Fatalf("after Add(%x): a frame holds %d slices, more than its %d macroblocks", payload, n, total)
+			}
+			if held := heldBytes(r); r.live != held || r.arena > 2*held+maxChunk {
+				t.Fatalf("after Add(%x): live counter %d, arena %d, held bodies %d", payload, r.live, r.arena, held)
 			}
 			for n := range ref {
 				v := r.Frame(n)

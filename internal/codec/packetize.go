@@ -150,10 +150,32 @@ func SliceMBs(payload []byte) (mbStart int, chunks [][]byte, err error) {
 // arrival order. Frame and Frames build EncodedFrame views from them on
 // demand, so a frame costs its payload bytes rather than a slice header
 // for every macroblock of the picture.
+//
+// The held bytes live in the reassembler's own append-only arena (see
+// hold), a few large chunks per session rather than one heap object per
+// packet: when a session ends its chunks free whole spans, instead of
+// leaving holes among other sessions' packets that keep the spans
+// resident.
 type Reassembler struct {
 	cfg    Config
 	frames map[int]heldFrame
+
+	// chunk is the arena's current chunk: held bytes, then free
+	// capacity. Bytes once written are never written again.
+	chunk []byte
+	// arena is the capacity of the chunks made since the last rebuild
+	// and live the length of the held slice bodies. The difference is
+	// dead: bodies dropped or compacted away, chunk tails too short for
+	// the next body, and the current chunk's free space.
+	arena, live int
 }
+
+// Arena chunks double from minChunk to maxChunk. Each size from 8 KiB up
+// is the only object in its span.
+const (
+	minChunk = 1 << 10
+	maxChunk = 64 << 10
+)
 
 // heldFrame is what arrived of one frame: the type of its first slice
 // and the slices themselves, in arrival order.
@@ -165,8 +187,8 @@ type heldFrame struct {
 // heldSlice is one arrived slice covering macroblocks
 // [start, start+count). body is its wire bytes from the first-macroblock
 // varint on (mbStart | mbCount | (len | bytes)*mbCount), the one copy
-// Add makes; replay parses it again so that every write into a view
-// carries a local bounds proof.
+// Add makes, in the arena; replay parses it again so that every write
+// into a view carries a local bounds proof.
 type heldSlice struct {
 	start, count int
 	body         []byte
@@ -185,12 +207,14 @@ func NewReassembler(cfg Config) (*Reassembler, error) {
 //
 // Add copies the payload exactly once. It first walks and validates
 // every chunk in place, so a damaged payload leaves the frame
-// untouched; then it copies the slice into one buffer and holds it. A
+// untouched; then it copies the slice into the arena and holds it. A
 // held slice whose range the new one covers can no longer show in any
 // view, so Add drops it; should overlapping slices still outnumber the
 // frame's macroblocks, the frame is compacted into a single slice, which
-// bounds what a frame holds whatever is resent. The caller may reuse
-// payload as soon as Add returns.
+// bounds what a frame holds whatever is resent. Should the arena's dead
+// bytes then exceed its live bytes plus one chunk, the held bodies move
+// to a fresh arena, which bounds the arena by twice what is held plus a
+// chunk. The caller may reuse payload as soon as Add returns.
 func (r *Reassembler) Add(payload []byte) error {
 	// Header: frame number, frame type, first macroblock, chunk count.
 	rest := payload
@@ -255,16 +279,58 @@ func (r *Reassembler) Add(payload []byte) error {
 		for _, s := range f.slices {
 			if s.start < start || s.start+s.count > start+count {
 				kept = append(kept, s)
+			} else {
+				r.live -= len(s.body)
 			}
 		}
-		clear(f.slices[len(kept):]) // let the dropped bodies be collected
-		f.slices = append(kept, heldSlice{start: start, count: count, body: append([]byte(nil), body...)})
+		clear(f.slices[len(kept):]) // spare entries must not pin chunks a rebuild has left
+		f.slices = append(kept, heldSlice{start: start, count: count, body: r.hold(body)})
 		if len(f.slices) > total {
-			f.compact(total)
+			r.compact(&f, total)
 		}
 	}
 	r.frames[int(fn)] = f
+	if r.arena-r.live > r.live+maxChunk {
+		r.rebuild()
+	}
 	return nil
+}
+
+// hold copies body into the arena and returns the copy, its capacity
+// equal to its length. A body that does not fit the current chunk's free
+// space starts a new chunk: the next power of two up to maxChunk, or the
+// body's own length if that is larger.
+func (r *Reassembler) hold(body []byte) []byte {
+	if cap(r.chunk)-len(r.chunk) < len(body) {
+		size := minChunk
+		for size < maxChunk && (size <= cap(r.chunk) || size < len(body)) {
+			size *= 2
+		}
+		size = max(size, len(body))
+		r.chunk = make([]byte, 0, size)
+		r.arena += size
+	}
+	off := len(r.chunk)
+	r.chunk = append(r.chunk, body...)
+	r.live += len(body)
+	return r.chunk[off:len(r.chunk):len(r.chunk)]
+}
+
+// rebuild copies every held body into one fresh chunk of exactly the
+// live bytes. The copy costs less than twice the bytes added and dropped
+// since the last rebuild, so resends cannot make Add quadratic. Views
+// built earlier keep the old chunks alive as long as they are
+// referenced.
+func (r *Reassembler) rebuild() {
+	chunk := make([]byte, 0, r.live)
+	for _, f := range r.frames {
+		for i, s := range f.slices {
+			off := len(chunk)
+			chunk = append(chunk, s.body...)
+			f.slices[i].body = chunk[off:len(chunk):len(chunk)]
+		}
+	}
+	r.chunk, r.arena = chunk, r.live
 }
 
 // view builds frame n's EncodedFrame from the held slices. The view
@@ -316,13 +382,16 @@ func replay(mb [][]byte, body []byte) {
 	}
 }
 
-// compact replaces the held slices by one slice over [0,total) that
+// compact replaces f's held slices by one slice over [0,total) that
 // encodes the frame's current view, unheld macroblocks as empty chunks.
-func (f *heldFrame) compact(total int) {
+func (r *Reassembler) compact(f *heldFrame, total int) {
 	ef := f.view(0, total)
 	wire := AppendSlice(make([]byte, 0, sliceLen(ef, 0, total)), ef, 0, total)
 	hdr := uvarintLen(uint64(ef.Number)) + uvarintLen(uint64(ef.Type))
-	f.slices = []heldSlice{{start: 0, count: total, body: wire[hdr:]}}
+	for _, s := range f.slices {
+		r.live -= len(s.body)
+	}
+	f.slices = []heldSlice{{start: 0, count: total, body: r.hold(wire[hdr:])}}
 }
 
 // Frame returns a snapshot of the (possibly partial) frame n, or nil if

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -234,7 +235,7 @@ type LiveReceiver struct {
 	nackFloor uint64 // sequences below this are never NACKed again
 	nackTry   map[uint64]int
 	nackAt    map[uint64]time.Time // first-NACK time per missing sequence
-	nackFrom  *net.UDPAddr         // sender address learned from arrivals
+	nackFrom  netip.AddrPort       // sender address learned from arrivals
 }
 
 // SetHeaderOnlyBytes tells the receiver the sender uses a header-only
@@ -338,7 +339,7 @@ func (r *LiveReceiver) nackLoop(interval time.Duration) {
 		r.mu.Lock()
 		peer := r.nackFrom
 		var missing []uint64
-		if r.haveSeq && peer != nil {
+		if r.haveSeq && peer.IsValid() {
 			// Snap the floor into the scan window first, dropping the
 			// bookkeeping of everything it abandons so the maps stay
 			// bounded by the window.
@@ -367,7 +368,7 @@ func (r *LiveReceiver) nackLoop(interval time.Duration) {
 		r.mu.Unlock()
 		if len(missing) > 0 {
 			mNACKsRequested.Add(int64(len(missing)))
-			r.conn.WriteToUDP(marshalNACK(missing), peer) //nolint:errcheck // best effort, like the medium
+			r.conn.WriteToUDPAddrPort(marshalNACK(missing), peer) //nolint:errcheck // best effort, like the medium
 		}
 	}
 }
@@ -410,7 +411,9 @@ func (r *LiveReceiver) loop() {
 	// an epoch wrap still decrypts under its original IV (see seqExtender).
 	var ext seqExtender
 	for {
-		n, from, err := r.conn.ReadFromUDP(buf)
+		// The sender address comes back as a netip.AddrPort value, so
+		// no *net.UDPAddr is allocated per datagram.
+		n, from, err := r.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
