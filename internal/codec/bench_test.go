@@ -124,3 +124,37 @@ func BenchmarkEncodeFrameParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkQuantiseBlock times the forward DCT and quantisation of one
+// 8x8 block, the numeric phase of every macroblock row. It cycles over
+// 256 random blocks: one block repeated would let the branch predictor
+// learn its coefficient signs, which real content never allows.
+func BenchmarkQuantiseBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	blocks := make([][64]float64, 256)
+	for i := range blocks {
+		for j := range blocks[i] {
+			blocks[i][j] = rng.Float64()*255 - 128
+		}
+	}
+	var quant [64]int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quantiseBlock(&blocks[i%len(blocks)], 8, &quant)
+	}
+}
+
+// BenchmarkEncodeSequence times a two-GOP CIF clip through
+// EncodeSequence; ns/op divided by 60 is the wall time per frame.
+func BenchmarkEncodeSequence(b *testing.B) {
+	clip := benchFrames(b, 60)
+	cfg := DefaultConfig(30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeSequence(clip, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -122,7 +122,7 @@ func encodeBFrame(src, fwd, bwd *video.Frame, cfg Config) *EncodedFrame {
 		putScratch(sc)
 	}
 	if workers := cfg.rowWorkers(rows); workers > 1 {
-		parallelRows(workers, rows, row)
+		parallelFor(workers, rows, row)
 	} else {
 		for my := 0; my < rows; my++ {
 			row(my)
@@ -389,7 +389,7 @@ func decodeBFrame(ef *EncodedFrame, fwd, bwd *video.Frame, cfg Config) *video.Fr
 		}
 	}
 	if workers := cfg.rowWorkers(rows); workers > 1 {
-		parallelRows(workers, rows, row)
+		parallelFor(workers, rows, row)
 	} else {
 		for my := 0; my < rows; my++ {
 			row(my)

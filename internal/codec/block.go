@@ -1,5 +1,7 @@
 package codec
 
+import "math"
+
 // Transform-block coding: DCT -> frequency-ramped uniform quantisation ->
 // zig-zag run-length -> Exp-Golomb entropy coding, and the exact inverse.
 // Every block is independently decodable given its bit position, and the
@@ -31,13 +33,11 @@ func quantiseBlock(samples *[64]float64, q float64, quant *[64]int32) int {
 	nonzero := -1
 	invQ := 1 / q
 	for zz := 0; zz < 64; zz++ {
+		// Round half away from zero without a data-dependent branch
+		// (-0 maps to 0). The two multiplies stay separate: one folded
+		// factor would round differently.
 		v := coeff[zigzag[zz]] * invQ * invQuantRamp[zz]
-		var iv int32
-		if v >= 0 {
-			iv = int32(v + 0.5)
-		} else {
-			iv = int32(v - 0.5)
-		}
+		iv := int32(v + math.Copysign(0.5, v))
 		quant[zz] = iv
 		if iv != 0 {
 			nonzero = zz

@@ -62,7 +62,9 @@ type Config struct {
 	// value behaves exactly as before); larger values are clamped to the
 	// row count. The bitstream is bit-identical for every setting — see
 	// parallel.go for the wavefront argument. Callers typically set it to
-	// runtime.NumCPU().
+	// runtime.NumCPU(). It is the only concurrency knob: EncodeSequence
+	// also encodes whole GOPs concurrently, unconditionally, and Workers
+	// still governs only the rows inside each GOP's frames.
 	Workers int
 }
 
@@ -258,7 +260,7 @@ func (d *Decoder) Decode(ef *EncodedFrame) *video.Frame {
 		ref = grey
 	}
 	if workers := d.cfg.rowWorkers(rows); workers > 1 {
-		parallelRows(workers, rows, func(my int) {
+		parallelFor(workers, rows, func(my int) {
 			d.decodeRow(ef, ref, out, my)
 		})
 	} else {

@@ -103,22 +103,23 @@ func (c Config) rowWorkers(rows int) int {
 	return w
 }
 
-// parallelRows runs fn(my) for my in [0, rows) on workers goroutines.
-// Rows are claimed in ascending order, which the P-frame wavefront relies
-// on for deadlock freedom.
-func parallelRows(workers, rows int, fn func(my int)) {
+// parallelFor runs fn(i) for i in [0, n) on workers goroutines: the
+// macroblock rows of a frame, or the GOPs of a clip. Indices are claimed
+// in ascending order, which the P-frame wavefront relies on for deadlock
+// freedom.
+func parallelFor(workers, n int, fn func(i int)) {
 	var next int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				my := int(atomic.AddInt64(&next, 1)) - 1
-				if my >= rows {
+				i := int(atomic.AddInt64(&next, 1)) - 1
+				if i >= n {
 					return
 				}
-				fn(my)
+				fn(i)
 			}
 		}()
 	}
@@ -225,7 +226,7 @@ func (e *Encoder) encodeRows(src, recon *video.Frame, out *EncodedFrame, mvs [][
 			rowDone[i] = make(chan struct{}, cols)
 		}
 	}
-	parallelRows(workers, rows, func(my int) {
+	parallelFor(workers, rows, func(my int) {
 		sc := getScratch()
 		var t0 time.Time
 		if timed {

@@ -132,17 +132,16 @@ func encodedEqual(t *testing.T, a, b []*EncodedFrame, label string) {
 
 // TestParallelEncodeBitIdentical is the tentpole determinism guarantee:
 // any worker count yields the serial bitstream, across I/P structure,
-// motion levels, and the full-search estimator.
+// motion levels, and the full-search estimator. The oracle is a plain
+// per-frame Encoder loop, since EncodeSequence itself encodes GOPs
+// concurrently.
 func TestParallelEncodeBitIdentical(t *testing.T) {
 	for _, motion := range []video.MotionLevel{video.MotionLow, video.MotionHigh} {
 		for _, full := range []bool{false, true} {
 			clip := video.Generate(video.SceneConfig{W: 96, H: 96, Frames: 12, Motion: motion, Seed: 11})
 			cfg := smallConfig(5)
 			cfg.FullSearch = full
-			serial, err := EncodeSequence(clip, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial := serialEncode(t, clip, cfg)
 			for _, workers := range []int{2, 3, 4, 16} {
 				pcfg := cfg
 				pcfg.Workers = workers

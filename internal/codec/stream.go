@@ -2,25 +2,48 @@ package codec
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/video"
 )
 
-// EncodeSequence compresses a clip into the GOP structure.
+// EncodeSequence compresses a clip into the GOP structure. After an
+// I-frame the encoder holds nothing but that frame's reconstruction, so
+// each GOP depends only on its own frames and its first frame number.
+// GOPs are therefore encoded concurrently, on min(GOMAXPROCS, #GOPs)
+// goroutines, and the output is byte-identical to one Encoder fed the
+// whole clip. Config.Workers still splits the macroblock rows of each
+// frame. On failure it returns the error of the lowest failing frame.
 func EncodeSequence(frames []*video.Frame, cfg Config) ([]*EncodedFrame, error) {
-	enc, err := NewEncoder(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	out := make([]*EncodedFrame, len(frames))
-	for i, f := range frames {
-		ef, err := enc.Encode(f)
+	gops := (len(frames) + cfg.GOPSize - 1) / cfg.GOPSize
+	errs := make([]error, gops) // first failure of each GOP
+	parallelFor(min(runtime.GOMAXPROCS(0), gops), gops, func(g int) {
+		errs[g] = encodeGOP(frames, out, g*cfg.GOPSize, cfg)
+	})
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", i, err)
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// encodeGOP encodes into out the GOP of frames that opens at frame first.
+func encodeGOP(frames []*video.Frame, out []*EncodedFrame, first int, cfg Config) error {
+	enc := &Encoder{cfg: cfg, count: first}
+	defer enc.Reset() // recycles the last reconstruction
+	for i := first; i < min(first+cfg.GOPSize, len(frames)); i++ {
+		ef, err := enc.Encode(frames[i])
+		if err != nil {
+			return fmt.Errorf("frame %d: %w", i, err)
 		}
 		out[i] = ef
 	}
-	return out, nil
+	return nil
 }
 
 // DecodeSequence reconstructs a clip from (possibly damaged or partially

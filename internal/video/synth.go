@@ -140,22 +140,34 @@ func Generate(cfg SceneConfig) []*Frame {
 
 	frames := make([]*Frame, cfg.Frames)
 	pan := 0.0
+	var shimmer []byte // per-column texture of the current object
 	for fi := 0; fi < cfg.Frames; fi++ {
 		f := NewFrame(cfg.W, cfg.H)
-		// Background with pan offset.
+		// Background with pan offset. The pan never runs backwards, so
+		// the noise column is (x+off) mod W, walked without a division.
 		off := int(pan)
 		for y := 0; y < cfg.H; y++ {
 			row := f.Y[y*cfg.W : (y+1)*cfg.W]
-			for x := 0; x < cfg.W; x++ {
+			noiseRow := noise[y*cfg.W : (y+1)*cfg.W]
+			gy := 40 + (y%256)/3
+			nx := off % cfg.W
+			for x := range row {
 				sx := x + off
-				g := 40 + (sx%256)/2 + (y%256)/3
-				row[x] = byte(g) + noise[(y*cfg.W+((sx%cfg.W)+cfg.W)%cfg.W)]
+				row[x] = byte(gy+(sx%256)/2) + noiseRow[nx]
+				if nx++; nx == cfg.W {
+					nx = 0
+				}
 			}
 		}
 		// Objects.
 		for oi := range objs {
 			o := &objs[oi]
 			ox, oy := int(o.x), int(o.y)
+			// The shimmer term of the texture depends on the column only.
+			shimmer = shimmer[:0]
+			for dx := 0; dx < o.w; dx++ {
+				shimmer = append(shimmer, byte(4*math.Sin(o.phase+float64(dx)/7)))
+			}
 			for dy := 0; dy < o.h; dy++ {
 				y := oy + dy
 				if y < 0 || y >= cfg.H {
@@ -170,7 +182,7 @@ func Generate(cfg SceneConfig) []*Frame {
 					// texture rides with the object (pure translation) so
 					// motion compensation can track it, with only a slow
 					// shimmer so P-frames stay small relative to I-frames.
-					tex := byte((dx*dy)%32) + byte(4*math.Sin(o.phase+float64(dx)/7))
+					tex := byte((dx*dy)%32) + shimmer[dx]
 					f.Y[y*cfg.W+x] = o.tone + tex
 				}
 			}

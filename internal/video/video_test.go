@@ -164,3 +164,12 @@ func TestGenerateDefaultsToCIF(t *testing.T) {
 		t.Fatalf("default size %dx%d", frames[0].W, frames[0].H)
 	}
 }
+
+// BenchmarkGenerate times a 30-frame CIF medium-motion clip.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := SceneConfig{W: CIFWidth, H: CIFHeight, Frames: 30, Motion: MotionMedium, Seed: 9}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Generate(cfg)
+	}
+}
