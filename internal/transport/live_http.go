@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/ledger"
-	"repro/internal/netem"
 	"repro/internal/vcrypt"
 )
 
@@ -411,97 +409,4 @@ type HTTPUploadReport struct {
 	Encrypted int
 	Bytes     int
 	Elapsed   time.Duration
-}
-
-// LiveHTTPUpload streams the session to the server URL as one POST,
-// optionally pacing the body through a netem.Pacer to emulate the WiFi
-// bottleneck.
-func LiveHTTPUpload(s Session, url string, pacer *netem.Pacer) (HTTPUploadReport, error) {
-	var rep HTTPUploadReport
-	if err := s.Validate(); err != nil {
-		return rep, err
-	}
-	cipher, err := vcrypt.NewCipher(s.Policy.Alg, s.Key)
-	if err != nil {
-		return rep, err
-	}
-	selector, err := vcrypt.NewSelector(s.Policy)
-	if err != nil {
-		return rep, err
-	}
-	ledger.Emit(ledger.EventPolicy, "http", 0, 0, s.Policy.Name())
-	pr, pw := io.Pipe()
-	start := time.Now()
-	errCh := make(chan error, 1)
-	go func() {
-		defer pw.Close()
-		pool := codec.NewBufPool()
-		var wps []codec.WirePacket
-		seq := uint64(0)
-		for _, ef := range s.Encoded {
-			var err error
-			wps, err = codec.PacketizeInto(ef, s.MTU, segmentHeaderSize, pool, wps[:0])
-			if err != nil {
-				errCh <- err
-				pw.CloseWithError(err) //lint:allow bitioerr pipe CloseWithError is documented to always return nil
-				return
-			}
-			for i := range wps {
-				pkt := &wps[i]
-				payload := pkt.Payload
-				encrypted := selector.ShouldEncrypt(pkt.IsIFrame())
-				// The segment header lands in the buffer's headroom and
-				// the payload is encrypted where it already lies, so the
-				// whole segment crosses the pipe in one copy-free write.
-				wire := pkt.Wire(len(payload))
-				putSegmentHeader(wire, seq, encrypted, len(payload))
-				if encrypted {
-					cipher.EncryptPacket(seq, wire[segmentHeaderSize:][:s.Policy.EncryptSpan(len(payload))])
-					rep.Encrypted++
-					if span := s.Policy.EncryptSpan(len(payload)); span < len(payload) {
-						ledger.Emit(ledger.EventHeaderOnly, "http", seq, uint64(span), "")
-					}
-				} else {
-					ledger.Emit(ledger.EventPlainPacket, "http", seq, uint64(len(payload)), "")
-				}
-				if pacer != nil {
-					pacer.Wait(len(wire))
-				}
-				if _, err := pw.Write(wire); err != nil {
-					pool.Put(pkt)
-					errCh <- err
-					return
-				}
-				pool.Put(pkt)
-				rep.Segments++
-				rep.Bytes += len(wire)
-				seq++
-			}
-		}
-		errCh <- nil
-	}()
-	req, err := http.NewRequest(http.MethodPost, url, pr)
-	if err != nil {
-		return rep, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if s.SessionID != "" {
-		req.Header.Set(SessionHeader, s.SessionID)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return rep, err
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		return rep, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return rep, fmt.Errorf("transport: upload failed with status %s", resp.Status)
-	}
-	if err := <-errCh; err != nil {
-		return rep, err
-	}
-	rep.Elapsed = time.Since(start)
-	return rep, nil
 }

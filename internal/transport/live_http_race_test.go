@@ -40,7 +40,7 @@ func TestHTTPUploadConcurrentWritersAndStragglingRestart(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = LiveHTTPUpload(s, hs.URL, nil)
+			_, errs[i] = uploadOnce(s, hs.URL, nil)
 		}(i)
 	}
 	// The straggler: a stale retry carrying RestartHeader for the epoch
@@ -116,7 +116,7 @@ func TestHTTPUploadNamedSessionsIsolated(t *testing.T) {
 			defer wg.Done()
 			si := s
 			si.SessionID = id
-			_, errs[i] = LiveHTTPUpload(si, hs.URL, nil)
+			_, errs[i] = uploadOnce(si, hs.URL, nil)
 		}(i, id)
 	}
 	wg.Wait()

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net"
 	"net/http/httptest"
@@ -181,6 +182,19 @@ func TestLiveUDPPacing(t *testing.T) {
 	}
 }
 
+// uploadOnce uploads s to a server the test expects to take it in one
+// clean POST: no retry after a failure, and an attempt that fails
+// part-way and would be resumed is an error too.
+func uploadOnce(s Session, url string, pacer *netem.Pacer) (ResumeReport, error) {
+	rep, err := ResumableHTTPUpload(s, url, pacer, RetryPolicy{MaxAttempts: 1, Seed: 1}, nil)
+	if err == nil && (rep.Attempts != 1 || rep.Resumes != 0) {
+		err = fmt.Errorf("upload took %d attempts and %d resumes, want one clean POST", rep.Attempts, rep.Resumes)
+	}
+	return rep, err
+}
+
+// TestLiveHTTPUpload runs one clean upload through ResumableHTTPUpload
+// and checks the report against the server's count and its wire tap.
 func TestLiveHTTPUpload(t *testing.T) {
 	pol := vcrypt.Policy{Mode: vcrypt.ModeIPlusFracP, FracP: 0.2, Alg: vcrypt.AES256}
 	s, clip := testSession(t, video.MotionMedium, pol)
@@ -201,7 +215,7 @@ func TestLiveHTTPUpload(t *testing.T) {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
-	rep, err := LiveHTTPUpload(s, hs.URL, nil)
+	rep, err := uploadOnce(s, hs.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +260,7 @@ func TestLiveHTTPUploadPaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := LiveHTTPUpload(s, hs.URL, pacer)
+	rep, err := uploadOnce(s, hs.URL, pacer)
 	if err != nil {
 		t.Fatal(err)
 	}

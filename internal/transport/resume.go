@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -28,9 +29,12 @@ type ResumeReport struct {
 	FinalPolicy  vcrypt.Policy // policy in force when the transfer ended
 }
 
-// wireSegment is one pre-encrypted framed segment; rebuilding the exact
-// bytes for any seq makes resumed attempts byte-identical to the
-// original ones (the per-seq cipher IV fixes the keystream).
+// wireSegment is one pre-encrypted framed segment: the segment header
+// followed by the payload, a sub-slice of the upload's segment store
+// with cap = len. Rebuilding the exact bytes for any seq makes resumed
+// attempts byte-identical to the original ones (the per-seq cipher IV
+// fixes the keystream), so the store is built once and every attempt
+// reads from it.
 type wireSegment struct {
 	seq       uint64
 	encrypted bool
@@ -40,11 +44,25 @@ type wireSegment struct {
 // payload returns the segment's (possibly encrypted) slice payload.
 func (seg wireSegment) payload() []byte { return seg.wire[segmentHeaderSize:] }
 
+// segmentPool recycles the marshaling buffers of buildSegments. Every
+// buffer is back in the pool before buildSegments returns, so one pool
+// serves all uploads and back-to-back uploads allocate none.
+var segmentPool = codec.NewBufPool()
+
+// storeChunk is the size of the byte chunks a segment store is carved
+// from. Segments are packed back to back; a segment larger than a chunk
+// gets a chunk of its own.
+const storeChunk = 64 << 10
+
 // buildSegments packetizes and encrypts the whole session starting at
-// the given base sequence. Each packet is marshaled behind
-// segmentHeaderSize bytes of headroom; the segment header is written
-// there and the payload is encrypted in place, so a segment is one
-// contiguous slice that crosses the transport in a single write.
+// the given base sequence into one segment store. Each packet is
+// marshaled into a segmentPool buffer behind segmentHeaderSize bytes of
+// headroom, copied with its headroom into the current store chunk, and
+// the buffer goes straight back to the pool; the segment header is
+// written into the copy and the payload is encrypted there in place. A
+// clip thus costs one allocation per store chunk, not one per packet,
+// and consecutive segments are contiguous, so the upload body reads
+// many of them with one copy.
 func buildSegments(s Session, base uint64) ([]wireSegment, error) {
 	cipher, err := vcrypt.NewCipher(s.Policy.Alg, s.Key)
 	if err != nil {
@@ -54,24 +72,31 @@ func buildSegments(s Session, base uint64) ([]wireSegment, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []wireSegment
-	var wps []codec.WirePacket
+	var (
+		out   []wireSegment
+		wps   []codec.WirePacket
+		chunk []byte // store chunk being filled; its bytes never move
+	)
 	seq := base
 	for _, ef := range s.Encoded {
-		wps, err = codec.PacketizeInto(ef, s.MTU, segmentHeaderSize, nil, wps[:0])
+		wps, err = codec.PacketizeInto(ef, s.MTU, segmentHeaderSize, segmentPool, wps[:0])
 		if err != nil {
 			return nil, err
 		}
 		for i := range wps {
 			pkt := &wps[i]
-			// The pool-less zero-copy path hands each packet its own
-			// buffer, so the segment owns it outright; Retain makes the
-			// transfer of ownership to the segment store explicit.
 			n := len(pkt.Payload)
+			// The frame type is read before the buffer goes back to the
+			// pool.
 			encrypted := selector.ShouldEncrypt(pkt.IsIFrame())
-			wire := pkt.Wire(n)
-			//lint:retain(segment store keeps every segment alive across resumed attempts)
-			pkt.Retain()
+			size := segmentHeaderSize + n
+			if cap(chunk)-len(chunk) < size {
+				chunk = make([]byte, 0, max(storeChunk, size))
+			}
+			off := len(chunk)
+			chunk = append(chunk, pkt.Wire(n)...)
+			segmentPool.Put(pkt)
+			wire := chunk[off:len(chunk):len(chunk)]
 			putSegmentHeader(wire, seq, encrypted, n)
 			if encrypted {
 				cipher.EncryptPacket(seq, wire[segmentHeaderSize:][:s.Policy.EncryptSpan(n)])
@@ -116,39 +141,85 @@ func queryNextSeq(client *http.Client, url, sid string, timeout time.Duration) (
 	return strconv.ParseUint(h, 10, 64)
 }
 
+// segmentBody is the request body of one upload attempt: the wire
+// bytes of its segments, back to back. Each Read copies as many whole
+// segments as fit (net/http reads a chunked body through a 32 KiB
+// buffer, so each HTTP chunk carries about 50 segments); with a pacer,
+// each Read first waits for and then returns exactly one segment, so
+// pacing keeps its per-segment granularity. The counters cover the
+// segments whose last byte has been read. The transport reads the body
+// on its own goroutine and may close it after RoundTrip returns, so the
+// counters are final, and safe to read, only once done is closed.
+type segmentBody struct {
+	segs  []wireSegment // segments not yet read in full
+	off   int           // bytes of segs[0] already read
+	pacer *netem.Pacer
+
+	sent, sentBytes, sentEnc int
+
+	once sync.Once
+	done chan struct{} // closed by Close
+}
+
+func newSegmentBody(segs []wireSegment, pacer *netem.Pacer) *segmentBody {
+	return &segmentBody{segs: segs, pacer: pacer, done: make(chan struct{})}
+}
+
+// Read implements io.Reader.
+func (b *segmentBody) Read(p []byte) (int, error) {
+	n := 0
+	for len(b.segs) > 0 && n < len(p) {
+		seg := b.segs[0]
+		if b.off == 0 && b.pacer != nil {
+			b.pacer.Wait(len(seg.wire))
+		}
+		c := copy(p[n:], seg.wire[b.off:])
+		n += c
+		if b.off += c; b.off < len(seg.wire) {
+			break
+		}
+		b.off = 0
+		b.segs = b.segs[1:]
+		b.sent++
+		b.sentBytes += len(seg.wire)
+		if seg.encrypted {
+			b.sentEnc++
+		}
+		if b.pacer != nil {
+			break
+		}
+	}
+	if n == 0 && len(b.segs) == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// Close implements io.Closer; the transport calls it once it is done
+// with the body, possibly more than once.
+func (b *segmentBody) Close() error {
+	b.once.Do(func() { close(b.done) })
+	return nil
+}
+
+// bodyCloseGrace is how long postSegments waits, once an attempt has
+// timed out, for the transport to close the request body.
+const bodyCloseGrace = time.Second
+
 // postSegments streams one upload attempt and reports what crossed into
-// the transport before it ended.
+// the transport before it ended: the segments the transport read from
+// the body in full. The counts are read once the client's transport has
+// closed the request body, as http.RoundTripper requires it to. A
+// transport that has not closed it bodyCloseGrace after the attempt's
+// timeout fails the attempt with zero counts, since the body may still
+// be in use.
 func postSegments(client *http.Client, url, sid string, segs []wireSegment, restartBase string, pacer *netem.Pacer, timeout time.Duration) (sent, sentBytes, sentEnc int, next uint64, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	pr, pw := io.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, seg := range segs {
-			if pacer != nil {
-				pacer.Wait(len(seg.wire))
-			}
-			if _, werr := pw.Write(seg.wire); werr != nil {
-				pw.CloseWithError(werr) //lint:allow bitioerr pipe CloseWithError is documented to always return nil
-				return
-			}
-			sent++
-			sentBytes += len(seg.wire)
-			if seg.encrypted {
-				sentEnc++
-			}
-		}
-		pw.Close() //lint:allow bitioerr pipe Close is documented to always return nil
-	}()
-	collect := func() {
-		pr.Close() //lint:allow bitioerr pipe Close always returns nil; this only unblocks a dead writer
-		<-done
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, pr)
+	body := newSegmentBody(segs, pacer)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
 	if err != nil {
-		collect()
-		return sent, sentBytes, sentEnc, 0, err
+		return 0, 0, 0, 0, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if sid != "" {
@@ -158,13 +229,25 @@ func postSegments(client *http.Client, url, sid string, segs []wireSegment, rest
 		req.Header.Set(RestartHeader, restartBase)
 	}
 	resp, err := client.Do(req)
+	if err == nil {
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
+		resp.Body.Close()
+	}
+	// The transport closes the body even on errors, possibly after Do
+	// returned; only then are the counters final.
+	select {
+	case <-body.done:
+	case <-ctx.Done():
+		select {
+		case <-body.done:
+		case <-time.After(bodyCloseGrace):
+			return 0, 0, 0, 0, fmt.Errorf("transport: request body still open %v after the attempt timed out", bodyCloseGrace)
+		}
+	}
+	sent, sentBytes, sentEnc = body.sent, body.sentBytes, body.sentEnc
 	if err != nil {
-		collect()
 		return sent, sentBytes, sentEnc, 0, err
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
-	collect()
 	if resp.StatusCode != http.StatusOK {
 		return sent, sentBytes, sentEnc, 0, fmt.Errorf("transport: upload attempt status %s", resp.Status)
 	}
@@ -182,8 +265,9 @@ func nextEpoch(used uint64) uint64 {
 	return (used>>32 + 1) << 32
 }
 
-// ResumableHTTPUpload uploads the session like LiveHTTPUpload but
-// survives a faulty link: each attempt runs under a per-attempt timeout,
+// ResumableHTTPUpload streams the session to the server URL, optionally
+// pacing the body through a netem.Pacer to emulate the WiFi bottleneck,
+// and survives a faulty link: each attempt runs under a per-attempt timeout,
 // consecutive failures back off exponentially (capped, jittered,
 // deterministic under rp.Seed), and every retry first asks the server
 // for its highest contiguous sequence and resumes there instead of

@@ -391,7 +391,7 @@ func TestDegradationReencodeRestarts(t *testing.T) {
 }
 
 // TestResumableUploadCleanLink sanity-checks the no-fault path: one
-// attempt, no resumes, same reconstruction as LiveHTTPUpload.
+// attempt, no resumes, a reconstruction of the source clip's quality.
 func TestResumableUploadCleanLink(t *testing.T) {
 	pol := vcrypt.Policy{Mode: vcrypt.ModeAll, Alg: vcrypt.AES128}
 	s, clip := testSession(t, video.MotionLow, pol)

@@ -236,45 +236,85 @@ func TestLiveUDPSendPacedWireIdentical(t *testing.T) {
 	})
 }
 
-// TestLiveHTTPUploadWireIdentical checks the zero-copy HTTP segment path
-// against buildSegments (the Packetize-based construction the resumable
-// uploader uses): same sequence numbers, same encrypted flags, same
-// payload bytes as seen by the server's wire tap.
+// legacySegments rebuilds the framed HTTP upload segments the way the
+// allocate-per-packet path did: Packetize, a fresh payload copy per
+// packet, encrypt the copy in place, then frame it with WriteSegment.
+func legacySegments(t *testing.T, s Session) [][]byte {
+	t.Helper()
+	cipher, err := vcrypt.NewCipher(s.Policy.Alg, s.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selector, err := vcrypt.NewSelector(s.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	seq := uint64(0)
+	for _, ef := range s.Encoded {
+		pkts, err := codec.Packetize(ef, s.MTU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkt := range pkts {
+			payload := append([]byte(nil), pkt.Payload...)
+			encrypted := selector.ShouldEncrypt(pkt.IsIFrame())
+			if encrypted {
+				cipher.EncryptPacket(seq, payload[:s.Policy.EncryptSpan(len(payload))])
+			}
+			var seg bytes.Buffer
+			if err := WriteSegment(&seg, seq, encrypted, payload); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, seg.Bytes())
+			seq++
+		}
+	}
+	return out
+}
+
+// TestLiveHTTPUploadWireIdentical checks the HTTP upload path against an
+// oracle built in the test (legacySegments): buildSegments' store holds
+// exactly the legacy segment bytes, and a ResumableHTTPUpload delivers
+// the same sequence numbers, encrypted flags and payload bytes to the
+// server's wire tap.
 func TestLiveHTTPUploadWireIdentical(t *testing.T) {
 	pol := vcrypt.Policy{Mode: vcrypt.ModeIFrames, Alg: vcrypt.AES256CTR}
 	s := goldenSession(t, pol)
-	want, err := buildSegments(s, 0)
+	want := legacySegments(t, s)
+	segs, err := buildSegments(s, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(segs) != len(want) {
+		t.Fatalf("buildSegments made %d segments, want %d", len(segs), len(want))
+	}
+	for i, seg := range segs {
+		if !bytes.Equal(seg.wire, want[i]) {
+			t.Fatalf("segment %d store bytes differ:\n got %x\nwant %x", i, seg.wire, want[i])
+		}
 	}
 	srv, err := NewHTTPUploadServer(s.Config, pol.Alg, s.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type tapped struct {
-		seq       uint64
-		encrypted bool
-		payload   []byte
-	}
-	var got []tapped
+	var got [][]byte
 	srv.Tap = func(seq uint64, encrypted bool, payload []byte) {
-		got = append(got, tapped{seq, encrypted, payload})
+		var seg bytes.Buffer
+		WriteSegment(&seg, seq, encrypted, payload) //nolint:errcheck // bytes.Buffer writes cannot fail
+		got = append(got, seg.Bytes())
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	if _, err := LiveHTTPUpload(s, hs.URL, nil); err != nil {
+	if _, err := uploadOnce(s, hs.URL, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("tapped %d segments, want %d", len(got), len(want))
 	}
-	for i, w := range want {
-		g := got[i]
-		if g.seq != w.seq || g.encrypted != w.encrypted {
-			t.Fatalf("segment %d header: got (%d, %v), want (%d, %v)", i, g.seq, g.encrypted, w.seq, w.encrypted)
-		}
-		if !bytes.Equal(g.payload, w.payload()) {
-			t.Fatalf("segment %d payload differs from buildSegments:\n got %x\nwant %x", i, g.payload, w.payload())
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("segment %d differs on the wire:\n got %x\nwant %x", i, got[i], want[i])
 		}
 	}
 }

@@ -72,7 +72,6 @@ const (
 	// The zero-copy send paths encrypt the payload region of the marshaled
 	// wire buffer in place.
 	udpEncryptCall    = "cipher.EncryptPacket(uint64(seq), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])"
-	httpEncryptCall   = "cipher.EncryptPacket(seq, wire[segmentHeaderSize:][:s.Policy.EncryptSpan(len(payload))])"
 	resumeEncryptCall = "cipher.EncryptPacket(seq, wire[segmentHeaderSize:][:s.Policy.EncryptSpan(n)])"
 )
 
@@ -95,16 +94,10 @@ var mutants = []mutant{
 		Desc:    "the UDP send loop drops the EncryptPacket call on the selected path",
 	},
 	{
-		ID: "http-plain", Analyzer: plainleak.Analyzer,
-		File:    "internal/transport/live_http.go",
-		Patches: []patch{{Old: httpEncryptCall, New: "_ = cipher"}},
-		Desc:    "the HTTP segment streamer pipes plaintext payloads into the upload body",
-	},
-	{
 		ID: "resume-plain", Analyzer: plainleak.Analyzer,
 		File:    "internal/transport/resume.go",
 		Patches: []patch{{Old: resumeEncryptCall, New: "_ = cipher"}},
-		Desc:    "resumable uploads re-segment without re-encrypting after a restart",
+		Desc:    "the HTTP upload stores plaintext segments and its request body reads them onto the connection",
 	},
 	{
 		ID: "udp-guard-bypass", Analyzer: plainleak.Analyzer,
@@ -117,12 +110,12 @@ var mutants = []mutant{
 	},
 	{
 		ID: "http-guard-bypass", Analyzer: plainleak.Analyzer,
-		File: "internal/transport/live_http.go",
+		File: "internal/transport/resume.go",
 		Patches: []patch{{
 			Old: "encrypted := selector.ShouldEncrypt(pkt.IsIFrame())",
-			New: "_ = selector\n\t\t\t\tencrypted := pkt.IsIFrame()",
+			New: "_ = selector\n\t\t\tencrypted := pkt.IsIFrame()",
 		}},
-		Desc: "the HTTP streamer guesses the policy instead of asking the selector",
+		Desc: "the HTTP segment store guesses the policy instead of asking the selector",
 	},
 
 	// --- lockheld: no parking with a mutex held ---

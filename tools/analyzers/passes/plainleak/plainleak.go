@@ -7,7 +7,8 @@
 // the policy itself decided "do not encrypt this packet"
 // (Selector.ShouldEncrypt false, Policy.Mode == ModeNone, or an
 // rtp header marking the packet unencrypted). Any tainted value
-// reaching net.Conn / UDP / io.Writer / HTTP-body writes in the
+// reaching net.Conn / UDP / io.Writer / HTTP-body writes (or handed
+// to an HTTP request as its body) in the
 // transport and netem layers is a leak. The analysis is flow-sensitive
 // and interprocedural (bottom-up summaries over the module call graph),
 // so a payload that is packetized in one function, buffered in a
@@ -54,6 +55,12 @@ var spec = &lintkit.TaintSpec{
 		{Match: lintkit.FuncMatch{Path: "io", Recv: "Writer", Name: "Write"}, Args: []int{1}, What: "io.Writer.Write"},
 		{Match: lintkit.FuncMatch{Path: "io", Recv: "PipeWriter", Name: "Write"}, Args: []int{1}, What: "io.PipeWriter.Write"},
 		{Match: lintkit.FuncMatch{Path: "net/http", Recv: "ResponseWriter", Name: "Write"}, Args: []int{1}, What: "http.ResponseWriter.Write"},
+		// A request body is a reader the transport drains onto the
+		// connection: the body argument is the sink, and taint held in
+		// the reader's fields (segments stored for an upload) reaches it
+		// with the reader.
+		{Match: lintkit.FuncMatch{Path: "net/http", Name: "NewRequest"}, Args: []int{2}, What: "http.NewRequest body"},
+		{Match: lintkit.FuncMatch{Path: "net/http", Name: "NewRequestWithContext"}, Args: []int{3}, What: "http.NewRequestWithContext body"},
 	},
 	PolicyGuards: []lintkit.FuncMatch{
 		{Path: "internal/vcrypt", Recv: "Selector", Name: "ShouldEncrypt"},

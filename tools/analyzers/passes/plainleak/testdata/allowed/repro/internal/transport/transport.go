@@ -4,7 +4,10 @@
 package transport
 
 import (
+	"context"
+	"io"
 	"net"
+	"net/http"
 
 	"repro/internal/codec"
 	"repro/internal/rtp"
@@ -159,4 +162,52 @@ func SendBatch(conn net.Conn, c *vcrypt.Cipher, frame []byte) error {
 		}
 	}
 	return nil
+}
+
+// segmentReader is an upload body that reads stored segments back to
+// back.
+type segmentReader struct {
+	segs [][]byte
+	off  int
+}
+
+func (r *segmentReader) Read(p []byte) (int, error) {
+	if len(r.segs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.segs[0][r.off:])
+	if r.off += n; r.off == len(r.segs[0]) {
+		r.segs, r.off = r.segs[1:], 0
+	}
+	return n, nil
+}
+
+// postSegments hands stored segments to a request body.
+func postSegments(url string, segs [][]byte) error {
+	_, err := http.NewRequestWithContext(context.Background(), http.MethodPost, url, &segmentReader{segs: segs})
+	return err
+}
+
+// PostStored is the resumable upload's shape: each payload is
+// encrypted where it is stored (or left plain on the selector's say-so)
+// before the store becomes a request body.
+func PostStored(url string, c *vcrypt.Cipher, sel *vcrypt.Selector, frame []byte) error {
+	pkts, err := codec.Packetize(frame, 1200)
+	if err != nil {
+		return err
+	}
+	var segs [][]byte
+	for i, p := range pkts {
+		seg := append([]byte(nil), p.Payload...)
+		if sel.ShouldEncrypt(p.Type == codec.IFrame) {
+			c.EncryptPacket(uint64(i), seg)
+		}
+		segs = append(segs, seg)
+	}
+	if err := postSegments(url, segs); err != nil {
+		return err
+	}
+	// A request without a body carries nothing.
+	_, err = http.NewRequest(http.MethodGet, url, nil)
+	return err
 }

@@ -3,7 +3,10 @@
 package transport
 
 import (
+	"context"
+	"io"
 	"net"
+	"net/http"
 
 	"repro/internal/buffer"
 	"repro/internal/codec"
@@ -116,4 +119,62 @@ func SendBatchLate(conn net.Conn, c *vcrypt.Cipher, frame []byte) error {
 	}
 	c.EncryptPackets(0, payloads)
 	return nil
+}
+
+// segmentReader is an upload body that reads stored segments back to
+// back; its fields carry whatever the segments carry.
+type segmentReader struct {
+	segs [][]byte
+	off  int
+}
+
+func (r *segmentReader) Read(p []byte) (int, error) {
+	if len(r.segs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.segs[0][r.off:])
+	if r.off += n; r.off == len(r.segs[0]) {
+		r.segs, r.off = r.segs[1:], 0
+	}
+	return n, nil
+}
+
+// PostStored stores the payloads for an upload but never encrypts
+// them: the request body reads plaintext onto the connection.
+func PostStored(url string, frame []byte) error {
+	pkts, err := codec.Packetize(frame, 1200)
+	if err != nil {
+		return err
+	}
+	var segs [][]byte
+	for _, p := range pkts {
+		segs = append(segs, p.Payload)
+	}
+	body := &segmentReader{segs: segs}
+	_, err = http.NewRequestWithContext(context.Background(), http.MethodPost, url, body) // want `plaintext packet payload reaches http\.NewRequestWithContext body`
+	return err
+}
+
+// postSegments hands its segments to a request body; the finding lands
+// where a caller supplies plaintext.
+func postSegments(url string, segs [][]byte) error {
+	_, err := http.NewRequest(http.MethodPost, url, &segmentReader{segs: segs})
+	return err
+}
+
+// PostGuarded asks the selector, but the encrypt arm forgets the
+// cipher, so selected packets reach the upload body in the clear.
+func PostGuarded(url string, sel *vcrypt.Selector, frame []byte) error {
+	pkts, err := codec.Packetize(frame, 1200)
+	if err != nil {
+		return err
+	}
+	var segs [][]byte
+	for _, p := range pkts {
+		if sel.ShouldEncrypt(p.Type == codec.IFrame) {
+			_ = p // forgot vcrypt.Cipher.EncryptPacket here
+		}
+		segs = append(segs, p.Payload)
+	}
+	return postSegments(url, segs) // want `plaintext packet payload reaches a network write inside postSegments`
 }
