@@ -107,18 +107,19 @@ func EncodeSequenceB(frames []*video.Frame, cfg Config) ([]*EncodedFrame, error)
 // have no coded-neighbour dependencies, so rows parallelise freely.
 func encodeBFrame(src, fwd, bwd *video.Frame, cfg Config) *EncodedFrame {
 	cols, rows := cfg.MBCols(), cfg.MBRows()
-	out := &EncodedFrame{Type: BFrame, MBData: make([][]byte, cols*rows)}
+	out := newWireFrame(0, BFrame, cols, rows)
 	row := func(my int) {
 		sc := getScratch()
 		var arena []byte
+		sc.lens = sc.lens[:0]
 		for mx := 0; mx < cols; mx++ {
 			sc.w.reset()
 			encodeBMB(sc, src, fwd, bwd, mx, my, cfg)
 			chunk := sc.w.bytes()
-			start := len(arena)
-			arena = append(arena, chunk...)
-			out.MBData[my*cols+mx] = arena[start:len(arena):len(arena)]
+			arena = appendChunk(arena, chunk)
+			sc.lens = append(sc.lens, len(chunk))
 		}
+		out.setRow(my, arena, sc.lens)
 		putScratch(sc)
 	}
 	if workers := cfg.rowWorkers(rows); workers > 1 {

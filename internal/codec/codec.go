@@ -115,6 +115,15 @@ type EncodedFrame struct {
 	Number int
 	Type   FrameType
 	MBData [][]byte
+
+	// rows holds, for frames the encoder or ReadContainer built, the
+	// chunks in wire form, rowMBs macroblocks per row: one row per
+	// macroblock row from the encoder, one for the whole frame from
+	// ReadContainer. MBData's entries are views into them (see
+	// slicer.go). Other frames have no rows and are packetized chunk by
+	// chunk.
+	rows   [][]byte
+	rowMBs int
 }
 
 // Size returns the total compressed size in bytes.
@@ -126,7 +135,9 @@ func (f *EncodedFrame) Size() int {
 	return n
 }
 
-// Clone deep-copies the frame (the transport mutates MBData on loss).
+// Clone deep-copies the frame's chunks, one allocation per macroblock.
+// The copy has no wire rows, so it is packetized chunk by chunk: the
+// wire-format tests build their reference payloads from clones.
 func (f *EncodedFrame) Clone() *EncodedFrame {
 	c := &EncodedFrame{Number: f.Number, Type: f.Type, MBData: make([][]byte, len(f.MBData))}
 	for i, mb := range f.MBData {
@@ -184,7 +195,7 @@ func (e *Encoder) encodeAs(f *video.Frame, ft FrameType) (*EncodedFrame, error) 
 	// overwritten below.
 	recon := getFrame(f.W, f.H)
 	cols, rows := e.cfg.MBCols(), e.cfg.MBRows()
-	out := &EncodedFrame{Number: e.count, Type: ft, MBData: make([][]byte, cols*rows)}
+	out := newWireFrame(e.count, ft, cols, rows)
 	mvs := make([][2]int, cols*rows)
 	var t0 time.Time
 	if obs.Enabled() {

@@ -2,9 +2,11 @@ package codec
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Minimal container format for encoded clips, standing in for the MP4
@@ -133,6 +135,14 @@ func ReadContainer(r io.Reader) (Config, []*EncodedFrame, error) {
 	}
 	mbTotal := cfg.MBCols() * cfg.MBRows()
 	frames := make([]*EncodedFrame, count)
+	// A frame is stored as (len | bytes) per macroblock, its wire form,
+	// so it is read as it stands into buf and copied once into its own
+	// arena. lens and buf grow with the input, not with what the header
+	// claims.
+	var (
+		buf  []byte
+		lens []int
+	)
 	for i := range frames {
 		ft, err := get()
 		if err != nil {
@@ -148,8 +158,9 @@ func ReadContainer(r io.Reader) (Config, []*EncodedFrame, error) {
 		if int(nmb) != mbTotal {
 			return Config{}, nil, fmt.Errorf("codec: frame %d has %d macroblocks, want %d", i, nmb, mbTotal)
 		}
-		ef := &EncodedFrame{Number: i, Type: FrameType(ft), MBData: make([][]byte, nmb)}
-		for m := range ef.MBData {
+		buf = buf[:0]
+		lens = lens[:0]
+		for m := 0; m < mbTotal; m++ {
 			l, err := get()
 			if err != nil {
 				return Config{}, nil, err
@@ -157,12 +168,22 @@ func ReadContainer(r io.Reader) (Config, []*EncodedFrame, error) {
 			if l > 1<<24 {
 				return Config{}, nil, fmt.Errorf("codec: implausible macroblock of %d bytes", l)
 			}
-			buf := make([]byte, l)
-			if _, err := io.ReadFull(br, buf); err != nil {
+			buf = slices.Grow(appendUvarint(buf, l), int(l))
+			chunk := buf[len(buf):cap(buf)]
+			if uint64(len(chunk)) < l { // Grow made the room; this proves it
+				return Config{}, nil, fmt.Errorf("codec: no room for a macroblock of %d bytes", l)
+			}
+			if _, err := io.ReadFull(br, chunk[:l]); err != nil {
 				return Config{}, nil, err
 			}
-			ef.MBData[m] = buf
+			buf = buf[:len(buf)+len(chunk[:l])]
+			lens = append(lens, int(l))
 		}
+		// The frame's macroblocks are contiguous in one arena, so it is
+		// one wire row: a slice is then a single copy even where it
+		// crosses a macroblock row.
+		ef := newWireFrame(i, FrameType(ft), mbTotal, 1)
+		ef.setRow(0, bytes.Clone(buf), lens)
 		frames[i] = ef
 	}
 	return cfg, frames, nil

@@ -32,22 +32,13 @@ func (p Packet) IsIFrame() bool { return p.Type == IFrame }
 // not exceed mtu bytes (individual macroblocks larger than the MTU get a
 // packet of their own; with sane quantisation this does not happen at CIF).
 func Packetize(ef *EncodedFrame, mtu int) ([]Packet, error) {
-	if mtu < 64 {
-		return nil, fmt.Errorf("codec: mtu %d too small", mtu)
+	sl, err := NewSlicer(ef, mtu)
+	if err != nil {
+		return nil, err
 	}
 	var out []Packet
-	start := 0
-	for start < len(ef.MBData) {
-		end := nextSliceEnd(ef, start, mtu)
-		payload := AppendSlice(make([]byte, 0, sliceLen(ef, start, end-start)), ef, start, end-start)
-		out = append(out, Packet{
-			FrameNumber: ef.Number,
-			Type:        ef.Type,
-			MBStart:     start,
-			MBCount:     end - start,
-			Payload:     payload,
-		})
-		start = end
+	for sl.Next() {
+		out = append(out, sl.packet(sl.Append(make([]byte, 0, sl.Len()))))
 	}
 	return out, nil
 }
@@ -386,7 +377,7 @@ func replay(mb [][]byte, body []byte) {
 // encodes the frame's current view, unheld macroblocks as empty chunks.
 func (r *Reassembler) compact(f *heldFrame, total int) {
 	ef := f.view(0, total)
-	wire := AppendSlice(make([]byte, 0, sliceLen(ef, 0, total)), ef, 0, total)
+	wire := AppendSlice(nil, ef, 0, total)
 	hdr := uvarintLen(uint64(ef.Number)) + uvarintLen(uint64(ef.Type))
 	for _, s := range f.slices {
 		r.live -= len(s.body)

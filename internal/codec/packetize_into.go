@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -100,56 +99,6 @@ func (wp *WirePacket) Retain() {
 	}
 }
 
-// uvarintLen returns the encoded size of v as an unsigned varint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// sliceLen returns the exact marshaled size of the slice covering
-// mbCount macroblocks from mbStart — what AppendSlice will append.
-func sliceLen(ef *EncodedFrame, mbStart, mbCount int) int {
-	n := uvarintLen(uint64(ef.Number)) +
-		uvarintLen(uint64(ef.Type)) +
-		uvarintLen(uint64(mbStart)) +
-		uvarintLen(uint64(mbCount))
-	for i := mbStart; i < mbStart+mbCount; i++ {
-		l := len(ef.MBData[i])
-		n += uvarintLen(uint64(l)) + l
-	}
-	return n
-}
-
-// AppendSlice appends the wire encoding of the slice covering mbCount
-// macroblocks from mbStart to dst and returns the extended slice. The
-// encoding is exactly the payload Packetize produces; sliceLen gives its
-// size so callers can allocate exactly.
-func AppendSlice(dst []byte, ef *EncodedFrame, mbStart, mbCount int) []byte {
-	dst = appendUvarint(dst, uint64(ef.Number))
-	dst = appendUvarint(dst, uint64(ef.Type))
-	dst = appendUvarint(dst, uint64(mbStart))
-	dst = appendUvarint(dst, uint64(mbCount))
-	for i := mbStart; i < mbStart+mbCount; i++ {
-		mb := ef.MBData[i]
-		dst = appendUvarint(dst, uint64(len(mb)))
-		dst = append(dst, mb...)
-	}
-	return dst
-}
-
-// appendUvarint appends v as an unsigned varint.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
 // PacketizeInto splits an encoded frame into the exact slices Packetize
 // would form (same boundaries, byte-identical payloads), marshaling each
 // into a buffer from pool with headroom spare bytes in front. Buffers
@@ -158,63 +107,23 @@ func appendUvarint(dst []byte, v uint64) []byte {
 // (for callers that retain payloads indefinitely). Results are appended
 // to dst and returned.
 func PacketizeInto(ef *EncodedFrame, mtu, headroom int, pool *BufPool, dst []WirePacket) ([]WirePacket, error) {
-	if mtu < 64 {
-		return nil, fmt.Errorf("codec: mtu %d too small", mtu)
+	sl, err := NewSlicer(ef, mtu)
+	if err != nil {
+		return nil, err
 	}
 	if headroom < 0 {
 		return nil, fmt.Errorf("codec: negative headroom %d", headroom)
 	}
-	start := 0
-	for start < len(ef.MBData) {
-		end := nextSliceEnd(ef, start, mtu)
-		exact := sliceLen(ef, start, end-start)
-		need := headroom + exact
-		if min := headroom + mtu; need < min {
-			need = min
-		}
+	for sl.Next() {
+		need := headroom + max(sl.Len(), mtu)
 		var wb *wireBuf
 		if pool != nil {
 			wb = pool.get(need)
 		} else {
 			wb = &wireBuf{b: make([]byte, 0, need)}
 		}
-		wb.b = wb.b[:headroom]
-		wb.b = AppendSlice(wb.b, ef, start, end-start)
-		dst = append(dst, WirePacket{
-			Packet: Packet{
-				FrameNumber: ef.Number,
-				Type:        ef.Type,
-				MBStart:     start,
-				MBCount:     end - start,
-				Payload:     wb.b[headroom:],
-			},
-			Headroom: headroom,
-			buf:      wb,
-		})
-		start = end
+		wb.b = sl.Append(wb.b[:headroom])
+		dst = append(dst, WirePacket{Packet: sl.packet(wb.b[headroom:]), Headroom: headroom, buf: wb})
 	}
 	return dst, nil
-}
-
-// nextSliceEnd chooses the end of the slice starting at start under the
-// same conservative size estimate Packetize has always used, so slice
-// boundaries (and therefore wire bytes) are unchanged by the zero-copy
-// path.
-func nextSliceEnd(ef *EncodedFrame, start, mtu int) int {
-	headerMax := 4 * binary.MaxVarintLen32
-	size := headerMax
-	end := start
-	for end < len(ef.MBData) {
-		mbLen := len(ef.MBData[end])
-		add := mbLen + binary.MaxVarintLen32
-		if end > start && size+add > mtu {
-			break
-		}
-		size += add
-		end++
-	}
-	if end == start {
-		end = start + 1 // oversized single macroblock
-	}
-	return end
 }

@@ -596,3 +596,32 @@ func TestReassemblerAddAllocsOverClip(t *testing.T) {
 		t.Fatalf("Add allocates %.3f times per packet over the clip, want at most 0.45", allocs)
 	}
 }
+
+// TestReadContainerAllocs pins ReadContainer at a handful of allocations
+// per frame, whatever its macroblock count: each frame is read into one
+// wire-form arena whose rows MBData views, not one buffer per
+// macroblock.
+func TestReadContainerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	_, encoded, cfg := encodeOne(t, video.MotionMedium)
+	var buf bytes.Buffer
+	if err := WriteContainer(&buf, cfg, encoded); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := ReadContainer(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	mbs := cfg.MBCols() * cfg.MBRows()
+	t.Logf("%.0f allocations for %d frames of %d macroblocks", allocs, len(encoded), mbs)
+	// Per frame: the EncodedFrame, MBData, the row list and the arena.
+	// The rest is the reader and the frame list, and the read buffers
+	// growing to the largest frame.
+	if limit := float64(4*len(encoded) + 24); allocs > limit {
+		t.Fatalf("ReadContainer: %.0f allocations for %d frames, want at most %.0f", allocs, len(encoded), limit)
+	}
+}

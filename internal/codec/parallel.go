@@ -12,8 +12,8 @@ import (
 // Intra-frame parallelism. Frames are coded one macroblock row at a time;
 // rows are distributed over Config.Workers goroutines that claim row
 // indices from a shared atomic counter (always in ascending order). Each
-// row writes its chunks into a fresh per-row arena and stores them at
-// their raster positions in EncodedFrame.MBData, so the assembled
+// row writes its chunks into a fresh per-row arena and stores views of
+// them at their raster positions in EncodedFrame.MBData, so the assembled
 // bitstream is byte-for-byte the one the serial encoder emits regardless
 // of scheduling.
 //
@@ -33,13 +33,15 @@ import (
 // mbScratch bundles the per-worker buffers of the macroblock hot path:
 // the bitstream writer (its buffer is recycled between macroblocks after
 // the chunk is copied into the row arena), the three 8x8 sample blocks,
-// and the motion-predictor candidate array.
+// the motion-predictor candidate array, and the chunk lengths of the row
+// being coded.
 type mbScratch struct {
 	w       bitWriter
 	samples [64]float64
 	rec     [64]float64
 	pred    [64]float64
 	starts  [3][2]int
+	lens    []int
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(mbScratch) }}
@@ -132,8 +134,8 @@ func parallelFor(workers, n int, fn func(i int)) {
 // within the gather phase, which is the only phase that reads the row
 // above's motion vectors — so a row's transform and emit phases overlap
 // with its neighbours' gathers instead of serialising behind them. The
-// row's chunks are packed into one arena allocation; the arena must be
-// fresh per row because the MBData subslices outlive the call.
+// row's chunks are packed into one wire-form arena (slicer.go); the
+// arena must be fresh per row because the MBData views outlive the call.
 func (e *Encoder) encodeRow(src, recon *video.Frame, out *EncodedFrame, mvs [][2]int, ft FrameType, my int, sc *mbScratch, rowDone []chan struct{}) {
 	cols := e.cfg.MBCols()
 	b := rowBatchPool.Get().(*rowBatch)
@@ -179,14 +181,15 @@ func (e *Encoder) encodeRow(src, recon *video.Frame, out *EncodedFrame, mvs [][2
 	}
 	// Phase C: entropy coding and reconstruction, per macroblock.
 	var arena []byte
+	sc.lens = sc.lens[:0]
 	for mx := 0; mx < cols; mx++ {
 		sc.w.reset()
 		emitMB(b, sc, src, e.ref, recon, mvs, ft, mx, my, cols, qL, qC)
 		chunk := sc.w.bytes()
-		start := len(arena)
-		arena = append(arena, chunk...)
-		out.MBData[my*cols+mx] = arena[start:len(arena):len(arena)]
+		arena = appendChunk(arena, chunk)
+		sc.lens = append(sc.lens, len(chunk))
 	}
+	out.setRow(my, arena, sc.lens)
 	rowBatchPool.Put(b)
 	// Row-granular accounting: two atomic adds per row, never per
 	// macroblock, so the hot path stays allocation- and contention-free.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,26 +45,46 @@ type wireSegment struct {
 // payload returns the segment's (possibly encrypted) slice payload.
 func (seg wireSegment) payload() []byte { return seg.wire[segmentHeaderSize:] }
 
-// segmentPool recycles the marshaling buffers of buildSegments. Every
-// buffer is back in the pool before buildSegments returns, so one pool
-// serves all uploads and back-to-back uploads allocate none.
-var segmentPool = codec.NewBufPool()
-
 // storeChunk is the size of the byte chunks a segment store is carved
 // from. Segments are packed back to back; a segment larger than a chunk
 // gets a chunk of its own.
 const storeChunk = 64 << 10
 
+// maxFreeChunks bounds the free list of store chunks: 32 chunks, 2 MiB,
+// about three CIF clips' stores.
+const maxFreeChunks = 32
+
+// freeChunks holds the store chunks of ended uploads for the next
+// store to fill. Only chunks of exactly storeChunk bytes are kept.
+var freeChunks struct {
+	mu     sync.Mutex
+	chunks [][]byte
+}
+
+// segmentStore holds the store chunks of one upload: every chunk any
+// of its builds filled.
+type segmentStore struct {
+	chunks [][]byte
+}
+
 // buildSegments packetizes and encrypts the whole session starting at
-// the given base sequence into one segment store. Each packet is
-// marshaled into a segmentPool buffer behind segmentHeaderSize bytes of
-// headroom, copied with its headroom into the current store chunk, and
-// the buffer goes straight back to the pool; the segment header is
-// written into the copy and the payload is encrypted there in place. A
-// clip thus costs one allocation per store chunk, not one per packet,
-// and consecutive segments are contiguous, so the upload body reads
-// many of them with one copy.
+// the given base sequence into a store of its own. Its chunks are never
+// recycled.
 func buildSegments(s Session, base uint64) ([]wireSegment, error) {
+	var st segmentStore
+	return st.build(s, base)
+}
+
+// build packetizes and encrypts the whole session starting at the given
+// base sequence into new segments in the store. Each slice is marshaled
+// straight into the current store chunk behind segmentHeaderSize bytes,
+// the segment header is written in front of it and the payload is
+// encrypted there in place. A clip thus costs one chunk per 64 KiB of
+// segments, taken from the free list when it holds one, and consecutive
+// segments are contiguous, so the upload body reads many of them with
+// one copy. The chunks of earlier builds stay with the store until
+// release.
+func (st *segmentStore) build(s Session, base uint64) ([]wireSegment, error) {
 	cipher, err := vcrypt.NewCipher(s.Policy.Alg, s.Key)
 	if err != nil {
 		return nil, err
@@ -74,28 +95,23 @@ func buildSegments(s Session, base uint64) ([]wireSegment, error) {
 	}
 	var (
 		out   []wireSegment
-		wps   []codec.WirePacket
 		chunk []byte // store chunk being filled; its bytes never move
 	)
 	seq := base
 	for _, ef := range s.Encoded {
-		wps, err = codec.PacketizeInto(ef, s.MTU, segmentHeaderSize, segmentPool, wps[:0])
+		sl, err := codec.NewSlicer(ef, s.MTU)
 		if err != nil {
 			return nil, err
 		}
-		for i := range wps {
-			pkt := &wps[i]
-			n := len(pkt.Payload)
-			// The frame type is read before the buffer goes back to the
-			// pool.
-			encrypted := selector.ShouldEncrypt(pkt.IsIFrame())
+		for sl.Next() {
+			n := sl.Len()
+			encrypted := selector.ShouldEncrypt(ef.Type == codec.IFrame)
 			size := segmentHeaderSize + n
 			if cap(chunk)-len(chunk) < size {
-				chunk = make([]byte, 0, max(storeChunk, size))
+				chunk = st.newChunk(size)
 			}
 			off := len(chunk)
-			chunk = append(chunk, pkt.Wire(n)...)
-			segmentPool.Put(pkt)
+			chunk = sl.Append(chunk[:off+segmentHeaderSize])
 			wire := chunk[off:len(chunk):len(chunk)]
 			putSegmentHeader(wire, seq, encrypted, n)
 			if encrypted {
@@ -111,6 +127,43 @@ func buildSegments(s Session, base uint64) ([]wireSegment, error) {
 		}
 	}
 	return out, nil
+}
+
+// newChunk returns an empty store chunk with room for size bytes and
+// records it in the store: one from the free list when size fits a
+// storeChunk and the list has one, else a new one, larger than
+// storeChunk only for a segment that needs it.
+func (st *segmentStore) newChunk(size int) []byte {
+	var c []byte
+	if size <= storeChunk {
+		freeChunks.mu.Lock()
+		if k := len(freeChunks.chunks); k > 0 {
+			c = freeChunks.chunks[k-1]
+			freeChunks.chunks[k-1] = nil
+			freeChunks.chunks = freeChunks.chunks[:k-1]
+		}
+		freeChunks.mu.Unlock()
+	}
+	if c == nil {
+		c = make([]byte, 0, max(storeChunk, size))
+	}
+	st.chunks = append(st.chunks, c)
+	return c
+}
+
+// release gives the store's chunks to the free list, as far as the
+// bound allows, and empties the store. The caller must know that
+// nothing reads its segments any more: every request body that held
+// them has been closed.
+func (st *segmentStore) release() {
+	freeChunks.mu.Lock()
+	for _, c := range st.chunks {
+		if cap(c) == storeChunk && len(freeChunks.chunks) < maxFreeChunks {
+			freeChunks.chunks = append(freeChunks.chunks, c[:0])
+		}
+	}
+	freeChunks.mu.Unlock()
+	st.chunks = nil
 }
 
 // queryNextSeq asks the server for the resume point of one session (the
@@ -150,6 +203,10 @@ func queryNextSeq(client *http.Client, url, sid string, timeout time.Duration) (
 // segments whose last byte has been read. The transport reads the body
 // on its own goroutine and may close it after RoundTrip returns, so the
 // counters are final, and safe to read, only once done is closed.
+//
+// Read copies with mu held and Close takes mu, so once Close has
+// returned no Read is copying from the store and none ever will: a
+// closed body no longer holds its segments' chunks.
 type segmentBody struct {
 	segs  []wireSegment // segments not yet read in full
 	off   int           // bytes of segs[0] already read
@@ -157,8 +214,10 @@ type segmentBody struct {
 
 	sent, sentBytes, sentEnc int
 
-	once sync.Once
-	done chan struct{} // closed by Close
+	mu     sync.Mutex
+	closed bool
+	once   sync.Once
+	done   chan struct{} // closed by Close
 }
 
 func newSegmentBody(segs []wireSegment, pacer *netem.Pacer) *segmentBody {
@@ -167,12 +226,17 @@ func newSegmentBody(segs []wireSegment, pacer *netem.Pacer) *segmentBody {
 
 // Read implements io.Reader.
 func (b *segmentBody) Read(p []byte) (int, error) {
+	if b.pacer != nil && b.off == 0 && len(b.segs) > 0 {
+		b.pacer.Wait(len(b.segs[0].wire))
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return 0, errBodyClosed
+	}
 	n := 0
 	for len(b.segs) > 0 && n < len(p) {
 		seg := b.segs[0]
-		if b.off == 0 && b.pacer != nil {
-			b.pacer.Wait(len(seg.wire))
-		}
 		c := copy(p[n:], seg.wire[b.off:])
 		n += c
 		if b.off += c; b.off < len(seg.wire) {
@@ -198,9 +262,20 @@ func (b *segmentBody) Read(p []byte) (int, error) {
 // Close implements io.Closer; the transport calls it once it is done
 // with the body, possibly more than once.
 func (b *segmentBody) Close() error {
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
 	b.once.Do(func() { close(b.done) })
 	return nil
 }
+
+var (
+	// errBodyClosed is what a Read after Close returns.
+	errBodyClosed = errors.New("transport: read from a closed upload body")
+	// errBodyOpen fails an attempt whose transport had not closed the
+	// request body bodyCloseGrace after the attempt timed out.
+	errBodyOpen = errors.New("transport: request body still open after the attempt timed out")
+)
 
 // bodyCloseGrace is how long postSegments waits, once an attempt has
 // timed out, for the transport to close the request body.
@@ -211,8 +286,9 @@ const bodyCloseGrace = time.Second
 // the body in full. The counts are read once the client's transport has
 // closed the request body, as http.RoundTripper requires it to. A
 // transport that has not closed it bodyCloseGrace after the attempt's
-// timeout fails the attempt with zero counts, since the body may still
-// be in use.
+// timeout fails the attempt with errBodyOpen and zero counts, since the
+// body may still be in use; the store its segments live in must then
+// never be recycled.
 func postSegments(client *http.Client, url, sid string, segs []wireSegment, restartBase string, pacer *netem.Pacer, timeout time.Duration) (sent, sentBytes, sentEnc int, next uint64, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -241,7 +317,7 @@ func postSegments(client *http.Client, url, sid string, segs []wireSegment, rest
 		select {
 		case <-body.done:
 		case <-time.After(bodyCloseGrace):
-			return 0, 0, 0, 0, fmt.Errorf("transport: request body still open %v after the attempt timed out", bodyCloseGrace)
+			return 0, 0, 0, 0, fmt.Errorf("%w (waited %v)", errBodyOpen, bodyCloseGrace)
 		}
 	}
 	sent, sentBytes, sentEnc = body.sent, body.sentBytes, body.sentEnc
@@ -279,19 +355,32 @@ func nextEpoch(used uint64) uint64 {
 // restarting under a fresh sequence epoch — rather than failing the
 // transfer.
 func ResumableHTTPUpload(s Session, url string, pacer *netem.Pacer, rp RetryPolicy, deg Degrader) (ResumeReport, error) {
+	return resumableUpload(&http.Client{}, s, url, pacer, rp, deg)
+}
+
+// resumableUpload is ResumableHTTPUpload over the given client.
+func resumableUpload(client *http.Client, s Session, url string, pacer *netem.Pacer, rp RetryPolicy, deg Degrader) (ResumeReport, error) {
 	var rep ResumeReport
 	rp = rp.withDefaults()
 	if err := s.Validate(); err != nil {
 		return rep, err
 	}
 	ledger.Emit(ledger.EventPolicy, "resume", 0, 0, s.Policy.Name())
-	segs, err := buildSegments(s, 0)
+	var st segmentStore
+	segs, err := st.build(s, 0)
 	if err != nil {
 		return rep, err
 	}
+	// The store's chunks are recycled on return unless a transport kept
+	// an attempt's body open past its grace: it may still read them.
+	bodyOpen := false
+	defer func() {
+		if !bodyOpen {
+			st.release()
+		}
+	}()
 	rep.FinalPolicy = s.Policy
 	backoff := NewBackoff(rp)
-	client := &http.Client{}
 	start := time.Now()
 	var deadlineAt time.Time
 	if rp.Deadline > 0 {
@@ -338,6 +427,7 @@ func ResumableHTTPUpload(s Session, url string, pacer *netem.Pacer, rp RetryPoli
 			}
 			attemptStart := time.Now()
 			sent, bytes, enc, next, err := postSegments(client, url, s.SessionID, segs[idx:], restartHdr, pacer, rp.AttemptTimeout)
+			bodyOpen = bodyOpen || errors.Is(err, errBodyOpen)
 			mUploadAttemptSeconds.Observe(time.Since(attemptStart).Seconds())
 			rep.Segments += sent
 			rep.Bytes += bytes
@@ -399,7 +489,7 @@ func ResumableHTTPUpload(s Session, url string, pacer *netem.Pacer, rp RetryPoli
 				mUploadDowngrades.Inc()
 				ledger.Emit(ledger.EventDowngrade, "resume", 0, 0, oldPolicy+" -> "+s.Policy.Name())
 			}
-			if segs, err = buildSegments(s, base); err != nil {
+			if segs, err = st.build(s, base); err != nil {
 				rep.Elapsed = time.Since(start)
 				return rep, err
 			}

@@ -47,9 +47,11 @@ func wholeSegments(segs []wireSegment, n int) (count, size, enc int) {
 	return count, size, enc
 }
 
-// TestBuildSegmentsAllocs pins the segment store at far less than one
-// allocation per segment for a clip of the upload_http workload's
-// shape, and checks that no segment can grow into its neighbour.
+// TestBuildSegmentsAllocs pins the segment store's allocations for a
+// clip of the upload_http workload's shape at the measured count (11
+// store chunks, the growing segment list, the cipher and the selector;
+// none per segment), and checks that no segment can grow into its
+// neighbour.
 func TestBuildSegmentsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; allocation counts are meaningless")
@@ -73,8 +75,9 @@ func TestBuildSegmentsAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations for %d segments", allocs, len(segs))
-	if limit := float64(len(segs)) / 16; allocs >= limit {
-		t.Fatalf("buildSegments: %.0f allocations for %d segments, want < %.0f", allocs, len(segs), limit)
+	const limit = 49
+	if allocs > limit {
+		t.Fatalf("buildSegments: %.0f allocations for %d segments, want at most %d", allocs, len(segs), limit)
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 // byte-identical datagrams/segments on the wire as the original
 // allocate-per-packet path (Packetize → copy → pad-with-make → encrypt →
 // Marshal). The legacy construction is replicated inside the tests so the
-// equivalence stays checkable forever.
+// equivalence stays checkable forever. It packetizes clones of the
+// frames: a clone has no wire rows, so its payloads are marshaled chunk
+// by chunk and never come from the copy-a-row path under test.
 
 // goldenSession encodes a small clip with B-frames enabled so the wire
 // format is exercised across all three frame types (I, P and B), and
@@ -72,7 +74,7 @@ func legacyDatagrams(t *testing.T, s Session) [][]byte {
 	var out [][]byte
 	seq := 0
 	for fi, ef := range s.Encoded {
-		pkts, err := codec.Packetize(ef, s.MTU)
+		pkts, err := codec.Packetize(ef.Clone(), s.MTU)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +254,7 @@ func legacySegments(t *testing.T, s Session) [][]byte {
 	var out [][]byte
 	seq := uint64(0)
 	for _, ef := range s.Encoded {
-		pkts, err := codec.Packetize(ef, s.MTU)
+		pkts, err := codec.Packetize(ef.Clone(), s.MTU)
 		if err != nil {
 			t.Fatal(err)
 		}

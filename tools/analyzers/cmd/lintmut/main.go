@@ -112,8 +112,8 @@ var mutants = []mutant{
 		ID: "http-guard-bypass", Analyzer: plainleak.Analyzer,
 		File: "internal/transport/resume.go",
 		Patches: []patch{{
-			Old: "encrypted := selector.ShouldEncrypt(pkt.IsIFrame())",
-			New: "_ = selector\n\t\t\tencrypted := pkt.IsIFrame()",
+			Old: "encrypted := selector.ShouldEncrypt(ef.Type == codec.IFrame)",
+			New: "_ = selector\n\t\t\tencrypted := ef.Type == codec.IFrame",
 		}},
 		Desc: "the HTTP segment store guesses the policy instead of asking the selector",
 	},

@@ -1,18 +1,18 @@
 // Package plainleak is the paper's core invariant as a dataflow check:
 // every packet payload the encryption policy selects must be ciphertext
 // by the time it reaches a network write. Payloads are tainted where
-// they are created (codec.Packetize, audio.Encode); the taint is
-// cleared in exactly two ways — the payload passes through
-// vcrypt.Cipher.EncryptPacket, or control flow crosses an edge on which
-// the policy itself decided "do not encrypt this packet"
-// (Selector.ShouldEncrypt false, Policy.Mode == ModeNone, or an
-// rtp header marking the packet unencrypted). Any tainted value
-// reaching net.Conn / UDP / io.Writer / HTTP-body writes (or handed
-// to an HTTP request as its body) in the
-// transport and netem layers is a leak. The analysis is flow-sensitive
-// and interprocedural (bottom-up summaries over the module call graph),
-// so a payload that is packetized in one function, buffered in a
-// second, and written in a third is still tracked.
+// they are created (codec.Packetize, PacketizeInto, Slicer.Append,
+// audio.Encode); the taint is cleared in exactly two ways — the payload
+// passes through vcrypt.Cipher.EncryptPacket, or control flow crosses an
+// edge on which the policy itself decided "do not encrypt this packet"
+// (Selector.ShouldEncrypt false, Policy.Mode == ModeNone, or an rtp
+// header marking the packet unencrypted). Any tainted value reaching
+// net.Conn / UDP / io.Writer / HTTP-body writes (or handed to an HTTP
+// request as its body) in the transport and netem layers is a leak. The
+// analysis is flow-sensitive and interprocedural (bottom-up summaries
+// over the module call graph), so a payload that is packetized in one
+// function, buffered in a second, and written in a third is still
+// tracked.
 package plainleak
 
 import (
@@ -30,6 +30,9 @@ var spec = &lintkit.TaintSpec{
 	Sources: []lintkit.FuncMatch{
 		{Path: "internal/codec", Name: "Packetize"},
 		{Path: "internal/codec", Name: "PacketizeInto"},
+		// Slicer.Append marshals a slice into the caller's buffer: the
+		// HTTP segment store's packetizer.
+		{Path: "internal/codec", Recv: "Slicer", Name: "Append"},
 		{Path: "internal/audio", Name: "Encode"},
 	},
 	Sanitizers: []lintkit.SanitizerSpec{

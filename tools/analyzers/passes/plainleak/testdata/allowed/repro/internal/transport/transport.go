@@ -211,3 +211,28 @@ func PostStored(url string, c *vcrypt.Cipher, sel *vcrypt.Selector, frame []byte
 	_, err = http.NewRequest(http.MethodGet, url, nil)
 	return err
 }
+
+// PostChunked is the segment store's shape: each slice is marshaled
+// straight into a store chunk behind its header and its payload is
+// encrypted there in place (or left plain on the selector's say-so)
+// before the store becomes a request body.
+func PostChunked(url string, c *vcrypt.Cipher, sel *vcrypt.Selector, frame []byte) error {
+	sl, err := codec.NewSlicer(frame, 1200)
+	if err != nil {
+		return err
+	}
+	chunk := make([]byte, 0, 1<<16)
+	var segs [][]byte
+	for seq := uint64(0); sl.Next(); seq++ {
+		encrypted := sel.ShouldEncrypt(true)
+		off := len(chunk)
+		chunk = sl.Append(chunk[:off+2])
+		seg := chunk[off:len(chunk):len(chunk)]
+		seg[0], seg[1] = 0, byte(seq)
+		if encrypted {
+			c.EncryptPacket(seq, seg[2:])
+		}
+		segs = append(segs, seg)
+	}
+	return postSegments(url, segs)
+}

@@ -39,3 +39,23 @@ func PacketizeInto(frame []byte, mtu, headroom int) ([]WirePacket, error) {
 	copy(buf[headroom:], frame)
 	return []WirePacket{{Packet: Packet{Type: IFrame, Payload: buf[headroom:]}, Headroom: headroom, buf: buf}}, nil
 }
+
+// Slicer walks a frame's slices; Append marshals the current one into
+// the caller's buffer and, like the real one, is a taint source.
+type Slicer struct {
+	frame []byte
+	done  bool
+}
+
+// NewSlicer returns a Slicer over frame's slices.
+func NewSlicer(frame []byte, mtu int) (Slicer, error) { return Slicer{frame: frame}, nil }
+
+// Next advances to the next slice and reports whether there is one.
+func (s *Slicer) Next() bool {
+	more := !s.done
+	s.done = true
+	return more
+}
+
+// Append appends the current slice's payload to dst.
+func (s *Slicer) Append(dst []byte) []byte { return append(dst, s.frame...) }
