@@ -152,8 +152,25 @@ func TestUvarintLenMatchesEncoding(t *testing.T) {
 	}
 }
 
+// BenchmarkPacketizeInto packetizes one frame per op: a 96x96 I-frame
+// of a few dozen large chunks, and a CIF P-frame of 396 chunks of a few
+// bytes each, the shape of the upload clip, where the per-chunk cost
+// dominates.
 func BenchmarkPacketizeInto(b *testing.B) {
-	ef := testFrames(b)[0]
+	b.Run("96x96-I", func(b *testing.B) { benchPacketizeInto(b, testFrames(b)[0]) })
+	b.Run("CIF-P", func(b *testing.B) {
+		encoded, err := EncodeSequence(benchFrames(b, 2), DefaultConfig(30))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if encoded[1].Type != PFrame {
+			b.Fatalf("frame 1 is %v, want a P-frame", encoded[1].Type)
+		}
+		benchPacketizeInto(b, encoded[1])
+	})
+}
+
+func benchPacketizeInto(b *testing.B, ef *EncodedFrame) {
 	pool := NewBufPool()
 	var wps []WirePacket
 	b.ReportAllocs()

@@ -14,7 +14,9 @@ package transport
 // indistinguishable from a replay and treated as a duplicate, the same
 // tradeoff an SRTP replay window makes. span 0 disables the cap.
 //
-// Not concurrency-safe; callers hold their own locks.
+// The zero value is a window at floor 0 with no cap; the map is made on
+// the first out-of-order arrival. Not concurrency-safe; callers hold
+// their own locks.
 type seqWindow struct {
 	floor uint64
 	above map[uint64]bool
@@ -26,10 +28,6 @@ type seqWindow struct {
 // bound on entries per session.
 const defaultSeqSpan = 1 << 16
 
-func newSeqWindow(span uint64) *seqWindow {
-	return &seqWindow{above: make(map[uint64]bool), span: span}
-}
-
 // Seen reports whether seq already counts as delivered. Sequences below
 // the floor are implicitly seen: the floor only advances over delivered
 // sequences, or over sequences abandoned by the span cap.
@@ -37,10 +35,19 @@ func (w *seqWindow) Seen(seq uint64) bool {
 	return seq < w.floor || w.above[seq]
 }
 
-// Mark records seq as delivered and reports whether it already was.
+// Mark records seq as delivered and reports whether it already was. An
+// in-order arrival (seq at the floor, nothing held above it) only moves
+// the floor: no map operation.
 func (w *seqWindow) Mark(seq uint64) bool {
+	if seq == w.floor && len(w.above) == 0 {
+		w.floor++
+		return false
+	}
 	if w.Seen(seq) {
 		return true
+	}
+	if w.above == nil {
+		w.above = make(map[uint64]bool)
 	}
 	w.above[seq] = true
 	w.compact()
@@ -60,31 +67,32 @@ func (w *seqWindow) compact() {
 }
 
 // advance force-moves the floor to lo, forgetting exact state below it.
-// The cheaper of walking the gap or walking the map is used, so a huge
-// sequence jump cannot turn one arrival into a billion-step sweep.
 func (w *seqWindow) advance(lo uint64) {
 	if lo <= w.floor {
 		return
 	}
-	if lo-w.floor <= uint64(len(w.above)) {
-		for s := w.floor; s < lo; s++ {
-			delete(w.above, s)
-		}
-	} else {
-		for s := range w.above {
-			if s < lo {
-				delete(w.above, s)
-			}
-		}
-	}
+	deleteBelow(w.above, w.floor, lo)
 	w.floor = lo
 	w.compact()
+}
+
+// deleteBelow deletes the keys in [from, lo) from m, which holds no key
+// below from. It walks the gap or the map, whichever is shorter, so a
+// huge sequence jump cannot turn one arrival into a billion-step sweep.
+func deleteBelow[V any](m map[uint64]V, from, lo uint64) {
+	if lo-from <= uint64(len(m)) {
+		for s := from; s < lo; s++ {
+			delete(m, s)
+		}
+		return
+	}
+	for s := range m {
+		if s < lo {
+			delete(m, s)
+		}
+	}
 }
 
 // Floor returns the contiguous floor: every sequence below it counts as
 // delivered.
 func (w *seqWindow) Floor() uint64 { return w.floor }
-
-// Pending returns how many sequences are tracked exactly above the floor
-// — the window's only non-constant memory.
-func (w *seqWindow) Pending() int { return len(w.above) }

@@ -125,14 +125,13 @@ type IngestTotals struct {
 }
 
 type ingestSession struct {
-	mu      sync.Mutex
-	ext     seqExtender
-	window  *seqWindow
-	asm     *codec.Reassembler
-	limiter *TokenBucket // nil when SessionRate is 0
-	stats   IngestSessionStats
-	firstAt time.Time
-	lastAt  time.Time
+	mu        sync.Mutex
+	ext       seqExtender
+	rx        rxSession
+	limiter   *TokenBucket // nil when SessionRate is 0
+	throttled int
+	firstAt   time.Time
+	lastAt    time.Time
 }
 
 // The shard lock and the per-session locks nest in one fixed
@@ -148,7 +147,7 @@ type ingestShard struct {
 type IngestServer struct {
 	cfg    IngestConfig
 	conn   *net.UDPConn
-	cipher *vcrypt.Cipher // nil without a key; concurrency-safe, shared by all sessions
+	open   opener // shared by all sessions; the cipher is concurrency-safe
 	shards []*ingestShard
 	active atomic.Int64 // resident sessions, for admission control
 
@@ -175,11 +174,10 @@ func NewIngestServer(cfg IngestConfig) (*IngestServer, error) {
 	if _, err := codec.NewReassembler(cfg.Cfg); err != nil {
 		return nil, err
 	}
-	var cipher *vcrypt.Cipher
+	open := opener{hdrOnly: cfg.HeaderOnlyBytes}
 	if cfg.Key != nil {
 		var err error
-		cipher, err = vcrypt.NewCipher(cfg.Alg, cfg.Key)
-		if err != nil {
+		if open.cipher, err = vcrypt.NewCipher(cfg.Alg, cfg.Key); err != nil {
 			return nil, err
 		}
 	}
@@ -213,7 +211,7 @@ func NewIngestServer(cfg IngestConfig) (*IngestServer, error) {
 	s := &IngestServer{
 		cfg:     cfg,
 		conn:    conn,
-		cipher:  cipher,
+		open:    open,
 		shards:  make([]*ingestShard, cfg.Shards),
 		rejects: NewTokenBucket(2000, 200),
 		done:    make(chan struct{}),
@@ -305,13 +303,13 @@ func (s *IngestServer) lookup(ssrc uint32) *ingestSession {
 	if s.cfg.MaxSessions > 0 && s.active.Load() >= int64(s.cfg.MaxSessions) {
 		return nil
 	}
-	// The codec config was validated in the constructor, so this cannot
-	// fail.
-	asm, _ := codec.NewReassembler(s.cfg.Cfg)
 	// Stamp lastAt at admission so every session is sweepable from birth:
 	// a tenant admitted here whose packets never complete the packet path
 	// must not hold a MaxSessions slot forever.
-	sess := &ingestSession{window: newSeqWindow(defaultSeqSpan), asm: asm, lastAt: time.Now()}
+	sess := &ingestSession{lastAt: time.Now()}
+	if sess.rx.reset(s.cfg.Cfg, 0) != nil {
+		return nil // cannot happen: the constructor validated the config
+	}
 	if s.cfg.SessionRate > 0 {
 		sess.limiter = NewTokenBucket(s.cfg.SessionRate, s.cfg.SessionBurst)
 	}
@@ -326,48 +324,27 @@ func (s *IngestServer) lookup(ssrc uint32) *ingestSession {
 func (s *IngestServer) process(sess *ingestSession, pkt rtp.Packet) {
 	now := time.Now()
 	sess.mu.Lock()
+	// A throttled arrival is still an arrival: without this refresh a
+	// session that keeps sending but is mostly rate-limited looks idle
+	// to sweepLoop and gets evicted mid-stream.
+	sess.lastAt = now
 	if sess.limiter != nil && !sess.limiter.Allow() {
-		sess.stats.Throttled++
-		// A throttled arrival is still an arrival: without this refresh a
-		// session that keeps sending but is mostly rate-limited looks
-		// idle to sweepLoop and gets evicted mid-stream.
-		sess.lastAt = now
+		sess.throttled++
 		sess.mu.Unlock()
 		s.totals.throttled.Add(1)
 		mIngestThrottled.Inc()
 		return
 	}
-	seq64 := sess.ext.Extend(pkt.Sequence)
-	if sess.window.Mark(seq64) {
-		sess.stats.Duplicates++
-		sess.lastAt = now
-		sess.mu.Unlock()
+	first, usable := sess.rx.deliver(s.open, sess.ext.Extend(pkt.Sequence), pkt.Encrypted(), pkt.Payload)
+	if first && sess.firstAt.IsZero() {
+		sess.firstAt = now
+	}
+	sess.mu.Unlock()
+	if !first {
 		s.totals.dups.Add(1)
 		mIngestDuplicates.Inc()
 		return
 	}
-	if sess.firstAt.IsZero() {
-		sess.firstAt = now
-	}
-	sess.lastAt = now
-	sess.stats.Received++
-	sess.stats.Bytes += int64(len(pkt.Payload))
-	usable := false
-	if !pkt.Encrypted() || s.cipher != nil {
-		payload := pkt.Payload
-		if pkt.Encrypted() {
-			span := len(payload)
-			if s.cfg.HeaderOnlyBytes > 0 && s.cfg.HeaderOnlyBytes < span {
-				span = s.cfg.HeaderOnlyBytes
-			}
-			s.cipher.DecryptPacket(seq64, payload[:span])
-		}
-		if err := sess.asm.Add(payload); err == nil {
-			usable = true
-			sess.stats.Usable++
-		}
-	}
-	sess.mu.Unlock()
 	s.totals.packets.Add(1)
 	s.totals.bytes.Add(int64(len(pkt.Payload)))
 	mIngestPackets.Inc()
@@ -449,33 +426,36 @@ func (s *IngestServer) sweepLoop() {
 // ActiveSessions returns how many sessions are resident right now.
 func (s *IngestServer) ActiveSessions() int { return int(s.active.Load()) }
 
-// SessionStats returns the bookkeeping of one resident session.
-func (s *IngestServer) SessionStats(ssrc uint32) (IngestSessionStats, bool) {
+// resident returns the SSRC's session, nil when none is resident.
+func (s *IngestServer) resident(ssrc uint32) *ingestSession {
 	sh := s.shard(ssrc)
 	sh.mu.Lock()
-	sess := sh.sessions[ssrc]
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	return sh.sessions[ssrc]
+}
+
+// SessionStats returns the bookkeeping of one resident session.
+func (s *IngestServer) SessionStats(ssrc uint32) (IngestSessionStats, bool) {
+	sess := s.resident(ssrc)
 	if sess == nil {
 		return IngestSessionStats{}, false
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return sess.stats, true
+	rx := &sess.rx
+	return IngestSessionStats{Received: rx.received, Usable: rx.usable, Duplicates: rx.dups, Throttled: sess.throttled, Bytes: rx.bytes}, true
 }
 
 // SessionFrames returns a snapshot of one resident session's
 // reassembled clip; packets the session receives later do not change it.
 func (s *IngestServer) SessionFrames(ssrc uint32, total int) []*codec.EncodedFrame {
-	sh := s.shard(ssrc)
-	sh.mu.Lock()
-	sess := sh.sessions[ssrc]
-	sh.mu.Unlock()
+	sess := s.resident(ssrc)
 	if sess == nil {
 		return nil
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return sess.asm.Frames(total)
+	return sess.rx.asm.Frames(total)
 }
 
 // Totals snapshots the server's lifetime counters.

@@ -105,29 +105,27 @@ func readSegmentInto(r io.Reader, buf []byte) (seq uint64, encrypted bool, paylo
 	return seq, encrypted, payload, nil
 }
 
-// httpSession is the reassembly state of one upload session: one
-// tenant's clip, resume cursor and duplicate accounting.
+// httpSession is the receive state of one upload session: one tenant's
+// clip, resume cursor and duplicate accounting. The resume cursor is the
+// dedup window's floor: every sequence below it arrived.
 type httpSession struct {
 	// writerMu serializes whole POST bodies for the session. Without it,
 	// two concurrent uploaders interleave their segment streams against
-	// the shared next/asm cursor, and a stale retry carrying
-	// RestartHeader swaps the reassembler out from under an in-flight
-	// upload mid-body. One writer proceeds, the others wait their turn
-	// and then resume from the cursor the winner advanced.
+	// the shared cursor, and a stale retry carrying RestartHeader swaps
+	// the reassembler out from under an in-flight upload mid-body. One
+	// writer proceeds, the others wait their turn and then resume from
+	// the cursor the winner advanced.
 	writerMu sync.Mutex
 
-	mu       sync.Mutex
-	asm      *codec.Reassembler
-	segments int
-	next     uint64 // next-needed sequence (all below arrived contiguously)
-	dups     int    // already-acknowledged segments received again
+	mu sync.Mutex
+	rx rxSession
 }
 
 // HTTPUploadServer receives video uploads, decrypts marked segments and
 // reassembles the clip, playing the commercial-upload-endpoint role of
-// Section 6.4. The embedded httpSession is the default session (requests
-// without SessionHeader); named sessions live in the sessions map, so
-// one server instance carries many concurrent tenants.
+// Section 6.4. Sessions are keyed by SessionHeader, so one server
+// instance carries many concurrent tenants; requests without it use the
+// default session "".
 type HTTPUploadServer struct {
 	cfg    codec.Config
 	cipher *vcrypt.Cipher
@@ -135,8 +133,6 @@ type HTTPUploadServer struct {
 	// HeaderOnlyBytes mirrors the sender's Policy.HeaderOnlyBytes
 	// (0 = whole payload is encrypted). Set before serving.
 	HeaderOnlyBytes int
-
-	httpSession // default session ("")
 
 	smu      sync.Mutex
 	sessions map[string]*httpSession
@@ -149,49 +145,31 @@ type HTTPUploadServer struct {
 
 // NewHTTPUploadServer builds the handler state.
 func NewHTTPUploadServer(cfg codec.Config, alg vcrypt.Algorithm, key []byte) (*HTTPUploadServer, error) {
-	asm, err := codec.NewReassembler(cfg)
-	if err != nil {
-		return nil, err
-	}
 	cipher, err := vcrypt.NewCipher(alg, key)
 	if err != nil {
 		return nil, err
 	}
-	return &HTTPUploadServer{cfg: cfg, cipher: cipher, httpSession: httpSession{asm: asm}}, nil
+	s := &HTTPUploadServer{cfg: cfg, cipher: cipher, sessions: make(map[string]*httpSession)}
+	if _, err := s.session(""); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// session returns the state for the given session ID, creating named
-// sessions on first use.
+// session returns the state for the given session ID, creating it on
+// first use.
 func (s *HTTPUploadServer) session(id string) (*httpSession, error) {
-	if id == "" {
-		return &s.httpSession, nil
-	}
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	if sess := s.sessions[id]; sess != nil {
 		return sess, nil
 	}
-	asm, err := codec.NewReassembler(s.cfg)
-	if err != nil {
+	sess := &httpSession{}
+	if err := sess.rx.reset(s.cfg, 0); err != nil {
 		return nil, err
-	}
-	sess := &httpSession{asm: asm}
-	if s.sessions == nil {
-		s.sessions = make(map[string]*httpSession)
 	}
 	s.sessions[id] = sess
 	return sess, nil
-}
-
-// peek returns the session's state without creating it; nil when the
-// named session does not exist yet.
-func (s *HTTPUploadServer) peek(id string) *httpSession {
-	if id == "" {
-		return &s.httpSession
-	}
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	return s.sessions[id]
 }
 
 // ServeHTTP implements http.Handler: POST uploads marker-tagged
@@ -230,11 +208,17 @@ func (s *HTTPUploadServer) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, "bad restart base", http.StatusBadRequest)
 			return
 		}
-		if err := s.restart(sess, base); err != nil {
+		// Restart: a fresh reassembly from base on. The segment and
+		// duplicate counts carry on.
+		sess.mu.Lock()
+		err = sess.rx.reset(s.cfg, base)
+		sess.mu.Unlock()
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 	}
+	open := opener{cipher: s.cipher, hdrOnly: s.HeaderOnlyBytes}
 	br := bufio.NewReader(req.Body)
 	count := 0
 	// One buffer serves the whole body: decrypt works in place and
@@ -254,41 +238,26 @@ func (s *HTTPUploadServer) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 		buf = payload
 		if s.Tap != nil {
-			tapCopy := append([]byte(nil), payload...)
-			s.Tap(seq, encrypted, tapCopy)
+			s.Tap(seq, encrypted, append([]byte(nil), payload...))
 		}
 		sess.mu.Lock()
-		if seq < sess.next {
-			// Duplicate of acknowledged data (a resume overshot): count
-			// and drop — re-adding would double-decrypt the payload.
-			sess.dups++
-			sess.segments++
-			sess.mu.Unlock()
-			mServerSegments.Inc()
-			mServerDuplicates.Inc()
-			continue
-		}
-		if seq > sess.next {
-			next := sess.next
+		if next := sess.rx.window.Floor(); seq > next {
 			sess.mu.Unlock()
 			w.Header().Set(NextSeqHeader, strconv.FormatUint(next, 10))
 			http.Error(w, fmt.Sprintf("gap: got seq %d, need %d", seq, next), http.StatusConflict)
 			return
 		}
-		if encrypted {
-			span := len(payload)
-			if s.HeaderOnlyBytes > 0 && s.HeaderOnlyBytes < span {
-				span = s.HeaderOnlyBytes
-			}
-			s.cipher.DecryptPacket(seq, payload[:span])
-		}
-		if err := sess.asm.Add(payload); err == nil {
-			count++
-		}
-		sess.segments++
-		sess.next++
+		// Below the cursor is a duplicate of acknowledged data (a resume
+		// overshot): deliver counts and drops it, since re-adding would
+		// double-decrypt the payload.
+		first, usable := sess.rx.deliver(open, seq, encrypted, payload)
 		sess.mu.Unlock()
 		mServerSegments.Inc()
+		if !first {
+			mServerDuplicates.Inc()
+		} else if usable {
+			count++
+		}
 	}
 	next := s.SessionNextSeq(sid)
 	w.Header().Set(NextSeqHeader, strconv.FormatUint(next, 10))
@@ -296,99 +265,59 @@ func (s *HTTPUploadServer) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	fmt.Fprintf(w, "ok %d next %d\n", count, next) //lint:allow bitioerr best-effort status body; the header already carried the answer
 }
 
-// restart abandons the session's current reassembly and expects its
-// stream to begin again at the given base sequence. Caller holds the
-// session's writerMu, so no upload is mid-body when the swap happens.
-func (s *HTTPUploadServer) restart(sess *httpSession, base uint64) error {
-	asm, err := codec.NewReassembler(s.cfg)
-	if err != nil {
-		return err
-	}
-	sess.mu.Lock()
-	sess.asm = asm
-	sess.next = base
-	sess.mu.Unlock()
-	return nil
-}
-
 // NextSeq returns the next sequence number the server needs — everything
 // below it arrived contiguously and is acknowledged.
-func (s *HTTPUploadServer) NextSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
+func (s *HTTPUploadServer) NextSeq() uint64 { return s.SessionNextSeq("") }
 
 // DuplicateSegments returns how many already-acknowledged segments were
 // received again (zero when resumes never overshoot).
-func (s *HTTPUploadServer) DuplicateSegments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dups
-}
+func (s *HTTPUploadServer) DuplicateSegments() int { return s.SessionDuplicates("") }
 
 // Frames returns a snapshot of the reassembled clip; segments that
 // arrive later do not change it.
-func (s *HTTPUploadServer) Frames(total int) []*codec.EncodedFrame {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.asm.Frames(total)
-}
+func (s *HTTPUploadServer) Frames(total int) []*codec.EncodedFrame { return s.SessionFrames("", total) }
 
 // Segments returns how many segments arrived.
-func (s *HTTPUploadServer) Segments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.segments
+func (s *HTTPUploadServer) Segments() int { return s.SessionSegments("") }
+
+// readSession returns f of the given session's receive state, read
+// under the session's lock, or the zero value for a named session that
+// does not exist yet.
+func readSession[T any](s *HTTPUploadServer, id string, f func(rx *rxSession) T) (v T) {
+	s.smu.Lock()
+	sess := s.sessions[id]
+	s.smu.Unlock()
+	if sess != nil {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		v = f(&sess.rx)
+	}
+	return v
 }
 
 // SessionNextSeq returns the resume point of the given session (0 for a
 // named session that has not uploaded yet). The empty ID is the default
 // session.
 func (s *HTTPUploadServer) SessionNextSeq(id string) uint64 {
-	sess := s.peek(id)
-	if sess == nil {
-		return 0
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.next
+	return readSession(s, id, func(rx *rxSession) uint64 { return rx.window.Floor() })
 }
 
 // SessionSegments returns how many segments the given session received.
 func (s *HTTPUploadServer) SessionSegments(id string) int {
-	sess := s.peek(id)
-	if sess == nil {
-		return 0
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.segments
+	return readSession(s, id, func(rx *rxSession) int { return rx.received + rx.dups })
 }
 
 // SessionDuplicates returns how many already-acknowledged segments the
 // given session received again.
 func (s *HTTPUploadServer) SessionDuplicates(id string) int {
-	sess := s.peek(id)
-	if sess == nil {
-		return 0
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.dups
+	return readSession(s, id, func(rx *rxSession) int { return rx.dups })
 }
 
 // SessionFrames returns a snapshot of the given session's reassembled
 // clip (nil for a named session that never uploaded); segments that
 // arrive later do not change it.
 func (s *HTTPUploadServer) SessionFrames(id string, total int) []*codec.EncodedFrame {
-	sess := s.peek(id)
-	if sess == nil {
-		return nil
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.asm.Frames(total)
+	return readSession(s, id, func(rx *rxSession) []*codec.EncodedFrame { return rx.asm.Frames(total) })
 }
 
 // Sessions returns the IDs of the named sessions seen so far (the
@@ -396,9 +325,11 @@ func (s *HTTPUploadServer) SessionFrames(id string, total int) []*codec.EncodedF
 func (s *HTTPUploadServer) Sessions() []string {
 	s.smu.Lock()
 	defer s.smu.Unlock()
-	ids := make([]string, 0, len(s.sessions))
+	ids := make([]string, 0, len(s.sessions)-1)
 	for id := range s.sessions {
-		ids = append(ids, id)
+		if id != "" {
+			ids = append(ids, id)
+		}
 	}
 	return ids
 }

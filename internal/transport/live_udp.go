@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -206,32 +207,25 @@ func liveUDPSend(s Session, rxAddr, evAddr string, pace bool, rel *retransmitter
 // receiver) or discards them as erasures when it does not (the
 // eavesdropper), and reassembles frames.
 type LiveReceiver struct {
-	conn   *net.UDPConn
-	cipher *vcrypt.Cipher // nil for the eavesdropper
+	conn *net.UDPConn
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled on every state change and on shutdown
-	dropper  netem.Dropper
-	asm      *codec.Reassembler
-	received int
-	captured int
-	dups     int // arrivals whose sequence was already delivered
-	closed   bool
-	dead     bool // loop exited (socket closed)
-	done     chan struct{}
-	hdrOnly  int
+	// dropper is read without mu: DropSeq is the caller's code, and the
+	// datagram's one critical section is the receive step.
+	dropper atomic.Pointer[netem.Dropper]
 
-	// window is the per-sequence dedup set. It is always active (allocated
-	// by the constructor), not just under NACK: link-layer duplication
-	// and retransmit races must never inflate the captured/usable counts,
-	// only the dups counter. Delivered sequences compact into a contiguous
-	// floor, so the window's memory stays bounded over arbitrarily long
-	// sessions.
-	window *seqWindow
+	mu   sync.Mutex
+	cond *sync.Cond // signalled on every state change and on shutdown
+	open opener     // no cipher for the eavesdropper
+	// rx dedups every arrival by extended sequence, not just under NACK:
+	// link-layer duplication and retransmit races must never inflate the
+	// captured/usable counts, only the duplicate counter.
+	rx     rxSession
+	closed bool
+	dead   bool // loop exited (socket closed)
+	done   chan struct{}
 
 	// Selective-retransmit state (EnableNACK).
-	maxSeq    uint64
-	haveSeq   bool
+	maxSeq    uint64 // one past the highest sequence delivered; 0 before the first
 	nackFloor uint64 // sequences below this are never NACKed again
 	nackTry   map[uint64]int
 	nackAt    map[uint64]time.Time // first-NACK time per missing sequence
@@ -243,25 +237,24 @@ type LiveReceiver struct {
 // (0 = whole payload). Must match the sender's Policy.HeaderOnlyBytes.
 func (r *LiveReceiver) SetHeaderOnlyBytes(n int) {
 	r.mu.Lock()
-	r.hdrOnly = n
+	r.open.hdrOnly = n
 	r.mu.Unlock()
 }
 
 // NewLiveReceiver opens a listening socket. Pass a nil key to create an
 // eavesdropper (marked packets become erasures). addr may use port 0.
 func NewLiveReceiver(cfg codec.Config, alg vcrypt.Algorithm, key []byte, addr string, loss float64, seed uint64) (*LiveReceiver, error) {
-	asm, err := codec.NewReassembler(cfg)
-	if err != nil {
+	r := &LiveReceiver{done: make(chan struct{})}
+	if err := r.rx.reset(cfg, 0); err != nil {
 		return nil, err
 	}
 	filter, err := netem.NewFilter(loss, seed)
 	if err != nil {
 		return nil, err
 	}
-	var cipher *vcrypt.Cipher
+	r.SetDropper(filter)
 	if key != nil {
-		cipher, err = vcrypt.NewCipher(alg, key)
-		if err != nil {
+		if r.open.cipher, err = vcrypt.NewCipher(alg, key); err != nil {
 			return nil, err
 		}
 	}
@@ -269,11 +262,9 @@ func NewLiveReceiver(cfg codec.Config, alg vcrypt.Algorithm, key []byte, addr st
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.ListenUDP("udp", udpAddr)
-	if err != nil {
+	if r.conn, err = net.ListenUDP("udp", udpAddr); err != nil {
 		return nil, err
 	}
-	r := &LiveReceiver{conn: conn, dropper: filter, cipher: cipher, asm: asm, window: newSeqWindow(defaultSeqSpan), done: make(chan struct{})}
 	r.cond = sync.NewCond(&r.mu)
 	go r.loop()
 	return r, nil
@@ -285,11 +276,7 @@ func (r *LiveReceiver) Addr() string { return r.conn.LocalAddr().String() }
 // SetDropper replaces the receiver's loss model (the constructor installs
 // a Bernoulli filter) with any netem.Dropper — a Gilbert–Elliott bursty
 // channel, a targeted SeqBurst, etc. Call before packets arrive.
-func (r *LiveReceiver) SetDropper(d netem.Dropper) {
-	r.mu.Lock()
-	r.dropper = d
-	r.mu.Unlock()
-}
+func (r *LiveReceiver) SetDropper(d netem.Dropper) { r.dropper.Store(&d) }
 
 // EnableNACK turns on gap detection and selective retransmit requests:
 // every interval the receiver NACKs the sequences it has not seen below
@@ -339,23 +326,26 @@ func (r *LiveReceiver) nackLoop(interval time.Duration) {
 		r.mu.Lock()
 		peer := r.nackFrom
 		var missing []uint64
-		if r.haveSeq && peer.IsValid() {
+		if r.maxSeq > 0 && peer.IsValid() {
 			// Snap the floor into the scan window first, dropping the
 			// bookkeeping of everything it abandons so the maps stay
 			// bounded by the window.
 			if r.maxSeq > maxNackWindow && r.nackFloor < r.maxSeq-maxNackWindow {
-				r.pruneNACKBelow(r.maxSeq - maxNackWindow)
+				lo := r.maxSeq - maxNackWindow
+				deleteBelow(r.nackTry, r.nackFloor, lo)
+				deleteBelow(r.nackAt, r.nackFloor, lo)
+				r.nackFloor = lo
 			}
 			// Advance the floor past everything delivered or given up on;
 			// the scan then covers at most maxNackWindow sequences instead
 			// of rescanning [0, maxSeq) every tick.
-			for r.nackFloor < r.maxSeq && (r.window.Seen(r.nackFloor) || r.nackTry[r.nackFloor] >= maxNackTries) {
+			for r.nackFloor < r.maxSeq && (r.rx.window.Seen(r.nackFloor) || r.nackTry[r.nackFloor] >= maxNackTries) {
 				delete(r.nackTry, r.nackFloor)
 				delete(r.nackAt, r.nackFloor)
 				r.nackFloor++
 			}
 			for seq := r.nackFloor; seq < r.maxSeq && len(missing) < maxNackBatch; seq++ {
-				if !r.window.Seen(seq) && r.nackTry[seq] < maxNackTries {
+				if !r.rx.window.Seen(seq) && r.nackTry[seq] < maxNackTries {
 					if r.nackTry[seq] == 0 {
 						// First request: anchor the recovery-delay clock.
 						r.nackAt[seq] = time.Now()
@@ -371,30 +361,6 @@ func (r *LiveReceiver) nackLoop(interval time.Duration) {
 			r.conn.WriteToUDPAddrPort(marshalNACK(missing), peer) //nolint:errcheck // best effort, like the medium
 		}
 	}
-}
-
-// pruneNACKBelow abandons retransmit bookkeeping for every sequence below
-// lo, walking whichever is smaller — the gap or the maps — so a huge
-// spurious jump is cheap to absorb. Caller holds r.mu.
-func (r *LiveReceiver) pruneNACKBelow(lo uint64) {
-	if lo-r.nackFloor <= uint64(len(r.nackTry)+len(r.nackAt)) {
-		for s := r.nackFloor; s < lo; s++ {
-			delete(r.nackTry, s)
-			delete(r.nackAt, s)
-		}
-	} else {
-		for s := range r.nackTry {
-			if s < lo {
-				delete(r.nackTry, s)
-			}
-		}
-		for s := range r.nackAt {
-			if s < lo {
-				delete(r.nackAt, s)
-			}
-		}
-	}
-	r.nackFloor = lo
 }
 
 func (r *LiveReceiver) loop() {
@@ -425,32 +391,26 @@ func (r *LiveReceiver) loop() {
 		// sequence-addressed droppers (burst over one I-frame) see every
 		// arrival, like the channel would.
 		seq64 := ext.Extend(pkt.Sequence)
-		r.mu.Lock()
-		dropper := r.dropper
-		r.mu.Unlock()
-		if dropper != nil && dropper.DropSeq(seq64) {
+		if d := *r.dropper.Load(); d != nil && d.DropSeq(seq64) {
 			continue
 		}
-		// Decrypt works in the read buffer and Add copies what it keeps,
-		// so the buffer is reusable for the next datagram.
-		payload := pkt.Payload
 		r.mu.Lock()
 		r.nackFrom = from
-		if r.window.Mark(seq64) {
+		// Decrypt works in the read buffer and Add copies what it keeps,
+		// so the buffer is reusable for the next datagram.
+		first, usable := r.rx.deliver(r.open, seq64, pkt.Encrypted(), pkt.Payload)
+		if !first {
 			// Duplicate delivery (retransmit raced the original, or
-			// link-layer duplication): count it separately and ignore it
-			// so captured/usable reflect first deliveries only.
-			r.dups++
+			// link-layer duplication).
 			mRxDuplicates.Inc()
-			r.cond.Broadcast()
-			r.mu.Unlock()
-			continue
-		}
-		if seq64 >= r.maxSeq {
-			r.maxSeq = seq64 + 1
-		}
-		r.haveSeq = true
-		if r.nackAt != nil {
+		} else {
+			mRxCaptured.Inc()
+			if usable {
+				mRxUsable.Inc()
+			}
+			if seq64 >= r.maxSeq {
+				r.maxSeq = seq64 + 1
+			}
 			if t0, ok := r.nackAt[seq64]; ok {
 				mNACKRecoverySeconds.Observe(time.Since(t0).Seconds())
 				delete(r.nackAt, seq64)
@@ -458,24 +418,6 @@ func (r *LiveReceiver) loop() {
 			// The sequence arrived: its retry count must not linger, or
 			// the map grows one entry per recovered loss forever.
 			delete(r.nackTry, seq64)
-		}
-		r.captured++
-		mRxCaptured.Inc()
-		if pkt.Encrypted() {
-			if r.cipher == nil {
-				r.cond.Broadcast()
-				r.mu.Unlock()
-				continue // eavesdropper: erasure
-			}
-			span := len(payload)
-			if r.hdrOnly > 0 && r.hdrOnly < span {
-				span = r.hdrOnly
-			}
-			r.cipher.DecryptPacket(seq64, payload[:span])
-		}
-		if err := r.asm.Add(payload); err == nil {
-			r.received++
-			mRxUsable.Inc()
 		}
 		r.cond.Broadcast()
 		r.mu.Unlock()
@@ -497,7 +439,7 @@ func (r *LiveReceiver) WaitForPackets(n int, timeout time.Duration) error {
 	defer timer.Stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.captured < n {
+	for r.rx.received < n {
 		if r.dead {
 			return errors.New("transport: receiver closed while waiting for packets")
 		}
@@ -514,7 +456,7 @@ func (r *LiveReceiver) WaitForPackets(n int, timeout time.Duration) error {
 func (r *LiveReceiver) Frames(total int) []*codec.EncodedFrame {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.asm.Frames(total)
+	return r.rx.asm.Frames(total)
 }
 
 // Stats returns (captured, usable) packet counts. Both count first
@@ -524,7 +466,7 @@ func (r *LiveReceiver) Frames(total int) []*codec.EncodedFrame {
 func (r *LiveReceiver) Stats() (captured, usable int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.captured, r.received
+	return r.rx.received, r.rx.usable
 }
 
 // Duplicates returns how many arrivals repeated an already-delivered
@@ -532,7 +474,7 @@ func (r *LiveReceiver) Stats() (captured, usable int) {
 func (r *LiveReceiver) Duplicates() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dups
+	return r.rx.dups
 }
 
 // NACK datagrams travel receiver→sender on the same socket pair:

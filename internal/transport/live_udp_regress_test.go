@@ -234,8 +234,8 @@ func TestLiveReceiverLongSessionMemoryBounded(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // one more NACK tick past quiescence
 
 	rx.mu.Lock()
-	pending := rx.window.Pending()
-	floor := rx.window.Floor()
+	pending := len(rx.rx.window.above)
+	floor := rx.rx.window.Floor()
 	nackTry := len(rx.nackTry)
 	nackAt := len(rx.nackAt)
 	maxSeq := rx.maxSeq

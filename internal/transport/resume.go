@@ -55,16 +55,19 @@ const storeChunk = 64 << 10
 const maxFreeChunks = 32
 
 // freeChunks holds the store chunks of ended uploads for the next
-// store to fill. Only chunks of exactly storeChunk bytes are kept.
+// store to fill, and one ended upload's segment list for the next build
+// to append to. Only chunks of exactly storeChunk bytes are kept.
 var freeChunks struct {
 	mu     sync.Mutex
 	chunks [][]byte
+	segs   []wireSegment
 }
 
-// segmentStore holds the store chunks of one upload: every chunk any
-// of its builds filled.
+// segmentStore holds the store chunks of one upload, every chunk any of
+// its builds filled, and the segment list of its latest build.
 type segmentStore struct {
 	chunks [][]byte
+	segs   []wireSegment
 }
 
 // buildSegments packetizes and encrypts the whole session starting at
@@ -93,10 +96,11 @@ func (st *segmentStore) build(s Session, base uint64) ([]wireSegment, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		out   []wireSegment
-		chunk []byte // store chunk being filled; its bytes never move
-	)
+	freeChunks.mu.Lock()
+	out := freeChunks.segs
+	freeChunks.segs = nil
+	freeChunks.mu.Unlock()
+	var chunk []byte // store chunk being filled; its bytes never move
 	seq := base
 	for _, ef := range s.Encoded {
 		sl, err := codec.NewSlicer(ef, s.MTU)
@@ -126,6 +130,7 @@ func (st *segmentStore) build(s Session, base uint64) ([]wireSegment, error) {
 			seq++
 		}
 	}
+	st.segs = out
 	return out, nil
 }
 
@@ -151,19 +156,23 @@ func (st *segmentStore) newChunk(size int) []byte {
 	return c
 }
 
-// release gives the store's chunks to the free list, as far as the
-// bound allows, and empties the store. The caller must know that
-// nothing reads its segments any more: every request body that held
-// them has been closed.
+// release gives the store's chunks and its latest segment list to the
+// free list, as far as the bound allows, and empties the store. The
+// caller must know that nothing reads its segments any more: every
+// request body that held them has been closed.
 func (st *segmentStore) release() {
+	clear(st.segs) // a recycled list pins no chunk
 	freeChunks.mu.Lock()
 	for _, c := range st.chunks {
 		if cap(c) == storeChunk && len(freeChunks.chunks) < maxFreeChunks {
 			freeChunks.chunks = append(freeChunks.chunks, c[:0])
 		}
 	}
+	if cap(st.segs) > cap(freeChunks.segs) {
+		freeChunks.segs = st.segs[:0]
+	}
 	freeChunks.mu.Unlock()
-	st.chunks = nil
+	st.chunks, st.segs = nil, nil
 }
 
 // queryNextSeq asks the server for the resume point of one session (the

@@ -20,13 +20,13 @@ import (
 // keeps its store out of the list, and run concurrent uploads over the
 // shared list under -race, byte-checking what every server receives.
 
-// drainFreeChunks empties the free list and returns how many chunks it
-// held.
+// drainFreeChunks empties the free list, its segment list included, and
+// returns how many chunks it held.
 func drainFreeChunks() int {
 	freeChunks.mu.Lock()
 	defer freeChunks.mu.Unlock()
 	n := len(freeChunks.chunks)
-	freeChunks.chunks = nil
+	freeChunks.chunks, freeChunks.segs = nil, nil
 	return n
 }
 
@@ -35,6 +35,53 @@ func freeChunkCount() int {
 	freeChunks.mu.Lock()
 	defer freeChunks.mu.Unlock()
 	return len(freeChunks.chunks)
+}
+
+// freeSegsCap returns the capacity of the free list's segment list.
+func freeSegsCap() int {
+	freeChunks.mu.Lock()
+	defer freeChunks.mu.Unlock()
+	return cap(freeChunks.segs)
+}
+
+// TestSegmentListRecycled checks that release hands the store's segment
+// list to the free list emptied and cleared, so it pins no chunk, and
+// that the next build appends to that same array.
+func TestSegmentListRecycled(t *testing.T) {
+	s := goldenSession(t, uploadPolicy)
+	drainFreeChunks()
+	var st segmentStore
+	segs, err := st.build(s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &segs[0]
+	st.release()
+	freeChunks.mu.Lock()
+	held := freeChunks.segs
+	freeChunks.mu.Unlock()
+	if len(held) != 0 || cap(held) < len(segs) {
+		t.Fatalf("free segment list has len %d, cap %d; want 0 and at least %d", len(held), cap(held), len(segs))
+	}
+	for i, seg := range held[:len(segs)] {
+		if seg.wire != nil {
+			t.Fatalf("recycled list entry %d still points into a chunk", i)
+		}
+	}
+	again, err := st.build(s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[0] != first || freeSegsCap() != 0 {
+		t.Fatal("the next build did not take the recycled segment list")
+	}
+	ref, err := buildSegments(s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wireOf(again), wireOf(ref)) {
+		t.Fatal("a build into the recycled list made different segments")
+	}
 }
 
 // TestFreeChunksBound pins the free list's bound and checks that release
@@ -106,11 +153,14 @@ func TestStoreNotRecycledWhileBodyOpen(t *testing.T) {
 	if n := freeChunkCount(); n != 0 {
 		t.Fatalf("%d chunks of a store still held by an open body reached the free list", n)
 	}
+	if freeSegsCap() != 0 {
+		t.Fatal("the segment list of a store still held by an open body reached the free list")
+	}
 	client = &http.Client{Transport: failingTransport{read: 1000}}
 	if _, err := resumableUpload(client, s, "http://upload.invalid/", nil, rp, nil); err == nil || errors.Is(err, errBodyOpen) {
 		t.Fatalf("upload over a cut transport: %v, want a cut error", err)
 	}
-	if n := freeChunkCount(); n == 0 {
+	if n := freeChunkCount(); n == 0 || freeSegsCap() == 0 {
 		t.Fatal("an upload whose bodies were all closed did not release its store")
 	}
 }

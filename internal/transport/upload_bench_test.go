@@ -61,24 +61,22 @@ func clipBytes(b *testing.B, s Session) int64 {
 	return n
 }
 
-// BenchmarkBuildSegments times building one clip's segment store:
-// packetize, frame and encrypt every packet. Bytes/s are wire bytes.
+// BenchmarkBuildSegments times building one clip's segment store as an
+// upload does: packetize, frame and encrypt every packet, then release
+// the store to the free list. Bytes/s are wire bytes.
 func BenchmarkBuildSegments(b *testing.B) {
 	s := cifUpload(b)
 	b.SetBytes(clipBytes(b, s))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		segs, err := buildSegments(s, 0)
-		if err != nil {
+		var st segmentStore
+		if _, err := st.build(s, 0); err != nil {
 			b.Fatal(err)
 		}
-		segmentsSink = segs
+		st.release()
 	}
 }
-
-// segmentsSink keeps BenchmarkBuildSegments' result alive.
-var segmentsSink []wireSegment
 
 // BenchmarkResumableUpload times whole clean uploads of the clip over
 // httptest loopback, each to its own HTTPUploadServer behind one

@@ -71,7 +71,7 @@ BEGIN {
 		ns = jnum($0, "ns_per_op")
 		allocs = jnum($0, "allocs_per_op")
 		# Check 2: zero-alloc pins on the steady-state hot path.
-		if (name ~ /^BenchmarkEncryptPacket(s|Prefetched)?\// || name == "BenchmarkPacketizeInto") {
+		if (name ~ /^BenchmarkEncryptPacket(s|Prefetched)?\// || name ~ /^BenchmarkPacketizeInto(\/|$)/) {
 			if (allocs != "" && allocs + 0 > 0)
 				fail(name " allocates " allocs " times per op; the steady-state hot path must be 0")
 		}

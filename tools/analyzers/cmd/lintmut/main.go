@@ -152,17 +152,17 @@ var mutants = []mutant{
 		ID: "nextseq-sleep", Analyzer: lockheld.Analyzer,
 		File: "internal/transport/live_http.go",
 		Patches: []patch{{
-			Old: "\ts.mu.Lock()\n\tdefer s.mu.Unlock()\n\treturn s.next",
-			New: "\ts.mu.Lock()\n\tdefer s.mu.Unlock()\n\ttime.Sleep(time.Millisecond)\n\treturn s.next",
+			Old: "\t\tsess.mu.Lock()\n\t\tdefer sess.mu.Unlock()\n\t\tv = f(&sess.rx)",
+			New: "\t\tsess.mu.Lock()\n\t\tdefer sess.mu.Unlock()\n\t\ttime.Sleep(time.Millisecond)\n\t\tv = f(&sess.rx)",
 		}},
-		Desc: "the upload server's ack accessor sleeps inside its critical section",
+		Desc: "the upload server's session reads (the ack cursor among them) sleep inside their critical section",
 	},
 	{
 		ID: "cond-wait-nolock", Analyzer: lockheld.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tfor r.captured < n {",
-			New: "\tfor r.captured < n {",
+			Old: "\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tfor r.rx.received < n {",
+			New: "\tfor r.rx.received < n {",
 		}},
 		Desc: "the receiver waiter calls cond.Wait without holding the mutex Wait is documented to require",
 	},
